@@ -1,9 +1,9 @@
 """Flat key = value run configuration.
 
 The config format is deliberately minimal: one dotted key per line, '#'
-comments, UTF-8.  Unknown keys are rejected, malformed literals are syntax
-errors with line/column positions, and out-of-range values are validation
-errors naming the offending key.  Unspecified keys fall back to the
+comments, UTF-8.  Unknown keys are rejected, malformed or non-finite literals
+are syntax errors with line/column positions, and out-of-range values are
+validation errors naming the offending key.  Unspecified keys fall back to the
 reference single-trajectory setup (sech carrier initial data on [-20, 20)
 with N = 400, dt = 0.01, defocusing cubic nonlinearity, 100 noise modes at
 amplitude 0.01, horizon T = 10).
@@ -11,6 +11,7 @@ amplitude 0.01, horizon T = 10).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ParseError, UnknownKeyError, ValidationError
@@ -53,9 +54,12 @@ class RunConfig:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise _Malformed(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise _Malformed(f"non-finite number {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -233,7 +237,7 @@ def parse_config(text: str) -> RunConfig:
         try:
             value = literal(value_text)
         except _Malformed as exc:
-            raise ParseError(lineno, value_col, str(exc)) from None
+            raise ParseError(lineno, value_col, f"{key}: {exc}") from None
         overrides[attr] = validate(key, value)
 
     config = RunConfig(**overrides)

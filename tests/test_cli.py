@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -128,6 +129,12 @@ class TestExitCodes:
     def test_usage_error(self, tmp_path, capsys):
         assert main(["mass-table", "--paths"]) == 1
 
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        assert run_cli(["evolve", "--quiet"], tmp_path, FAST_EVOLVE + "model.lambda = nan\n") == 1
+        err = capsys.readouterr().err
+        assert "model.lambda" in err
+        assert "numerical failure" not in err
+
     def test_nonconvergence_exit(self, tmp_path, capsys):
         config = """
 grid.N = 64
@@ -168,12 +175,34 @@ class TestSeedPlumbing:
         assert header == "time,path_0,path_1,path_2,mean"
 
 
+def _src_env():
+    # child interpreters find the package from the source tree, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "sfnse.cli", "selftest"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
+        env=_src_env(),
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    probe = "import sys, sfnse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -62,6 +62,18 @@ mass.alphas = 0.5, 0.75
         assert info.value.line == 2
         assert info.value.column == 15
 
+    def test_non_finite_numbers_rejected(self):
+        for text, key, line in [
+            ("scheme.dt = inf", "scheme.dt", 1),
+            ("model.alpha = 0.6\nmass.alphas = 0.6, nan", "mass.alphas", 2),
+            ("model.lambda = nan", "model.lambda", 1),
+            ("grid.b = 1e400", "grid.b", 1),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_config(text)
+            assert info.value.line == line
+            assert key in str(info.value)
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ParseError):
             parse_config("model.alpha = 0.5\nmodel.alpha = 0.6")

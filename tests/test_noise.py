@@ -6,6 +6,8 @@ import pytest
 from sfnse.errors import DivisibilityError, DomainError, IoError, ShapeError
 from sfnse.noise import (
     WienerPath,
+    _normal_from_raw,
+    _philox,
     build_noise_model,
     coarsen_path,
     dump_path,
@@ -100,6 +102,44 @@ class TestSampling:
             sample_wiener_path(model, 1, 0.0, seed=0)
         with pytest.raises(DomainError):
             sample_wiener_path(model, 1, 0.1, seed=-1)
+
+
+def _uniforms(words):
+    # the uniform that _normal_from_raw builds from each raw word
+    return np.minimum((words >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
+
+
+class TestInverseNormal:
+    EXTREME_WORDS = np.array(
+        [0, 1, 2**11, 2**52, 2**63 - 1, 2**63, 2**64 - 2**11, 2**64 - 2, 2**64 - 1], dtype=np.uint64
+    )
+
+    def test_matches_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        tail = np.arange(1, 10**5, 3, dtype=np.uint64) << np.uint64(11)  # u < 3e-11: far tail branch
+        words = np.concatenate(
+            [_philox(2024).random_raw(10**6).astype(np.uint64), self.EXTREME_WORDS, tail, ~tail]
+        )
+        got = _normal_from_raw(words)
+        want = ndtri(_uniforms(words))
+        assert np.all(np.isfinite(want))
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+    def test_scalar_and_array_calls_agree_bitwise(self):
+        # a long array, so that the picked entries span several evaluation blocks
+        words = np.concatenate([self.EXTREME_WORDS, _philox(7).random_raw(10**5).astype(np.uint64)])
+        picked = np.union1d(np.arange(self.EXTREME_WORDS.size), np.arange(0, words.size, 50))
+        array_values = _normal_from_raw(words)[picked]
+        scalar_values = np.array([_normal_from_raw(w) for w in words[picked]])
+        assert _normal_from_raw(words[0]).shape == ()
+        assert np.array_equal(array_values.view(np.uint64), scalar_values.view(np.uint64))
+
+    def test_extreme_words_finite_with_opposite_signs(self):
+        low = float(_normal_from_raw(np.uint64(0)))
+        high = float(_normal_from_raw(np.uint64(2**64 - 1)))
+        assert math.isfinite(low) and math.isfinite(high)
+        assert low < -8.0 and high > 8.0
 
 
 class TestCoarsening:
