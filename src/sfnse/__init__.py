@@ -23,7 +23,7 @@ from .experiments import (
     EnsembleReport,
     run_convergence_study,
     run_energy_ensemble,
-    run_field_evolution,
+    run_evolution,
     run_mass_table,
     sech_carrier_initial,
 )
@@ -38,7 +38,7 @@ from .noise import (
     load_path,
     sample_wiener_path,
 )
-from .output import read_snapshot, write_csv, write_outputs, write_snapshot
+from .output import read_snapshot, write_csv, write_snapshot
 from .spectral import (
     ComplexField,
     GridSpec,
@@ -85,7 +85,7 @@ __all__ = [
     "record_diagnostics",
     "run_convergence_study",
     "run_energy_ensemble",
-    "run_field_evolution",
+    "run_evolution",
     "run_mass_table",
     "sample_wiener_path",
     "sech_carrier_initial",
@@ -94,7 +94,6 @@ __all__ = [
     "transform",
     "write_csv",
     "write_default_config",
-    "write_outputs",
     "write_snapshot",
 ]
 

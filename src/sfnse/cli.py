@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .config import RunConfig, parse_config, write_default_config
-from .diagnostics import mass, record_diagnostics
-from .dynamics import Observer, evolve
+from .config import RunConfig, _check_seed, parse_config, write_default_config
+from .diagnostics import mass
 from .errors import (
     ConfigError,
     DomainError,
@@ -92,15 +91,12 @@ def _load_config(args) -> RunConfig:
     env_seed = os.environ.get("SFNSE_SEED")
     if env_seed is not None:
         try:
-            config = replace(config, noise_seed=int(env_seed, 10))
+            seed = int(env_seed, 10)
         except ValueError:
             raise ValidationError("SFNSE_SEED", f"invalid seed {env_seed!r}") from None
-        if config.noise_seed < 0:
-            raise ValidationError("SFNSE_SEED", f"seed must be >= 0, got {config.noise_seed}")
+        config = replace(config, noise_seed=_check_seed("SFNSE_SEED", seed))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError("--seed", f"seed must be >= 0, got {args.seed}")
-        config = replace(config, noise_seed=args.seed)
+        config = replace(config, noise_seed=_check_seed("--seed", args.seed))
     if args.paths is not None:
         if args.paths < 1:
             raise ValidationError("--paths", f"path count must be >= 1, got {args.paths}")
@@ -127,19 +123,7 @@ def _say(args, message: str) -> None:
 def _cmd_evolve(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
-    noise = build_noise_model(config.noise_k, grid, config.epsilon, config.noise_profile)
-    model = experiments.model_from_config(config)
-    scheme = experiments.scheme_from_config(config)
-    steps = experiments.steps_for_horizon(config.horizon_t, config.dt, "horizon.T")
-    path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
-    observers = [
-        Observer("diag", config.diagnostics_stride, lambda s: record_diagnostics(s, grid, model))
-    ]
-    if config.snapshot_stride > 0:
-        observers.append(Observer("snap", config.snapshot_stride, lambda s: s))
-    initial = experiments.sech_carrier_initial(grid)
-    final, records = evolve(initial, config.integrator, model, scheme, grid, path, noise, observers)
+    grid, final, records = experiments.run_evolution(config)
     rows = [
         (rec.time, rec.mass, rec.energy, rec.max_amplitude)
         for _, _, rec in records["diag"]
@@ -147,7 +131,7 @@ def _cmd_evolve(args) -> int:
     write_csv(out / "evolve_diagnostics.csv", ["time", "mass", "energy", "max_amplitude"], rows)
     for step, _, state in records.get("snap", []):
         write_snapshot(out / f"snapshot_{step:06d}.sfns", state, grid)
-    _say(args, f"evolved {steps} steps to t={final.time:.6g}; mass={mass(final, grid):.12g}")
+    _say(args, f"evolved to t={final.time:.6g}; mass={mass(final, grid):.12g}")
     _say(args, f"wrote {out / 'evolve_diagnostics.csv'}")
     return 0
 

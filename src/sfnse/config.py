@@ -44,7 +44,6 @@ class RunConfig:
     energy_n_paths: int = 10
     mass_alphas: tuple[float, ...] = (0.6, 0.75, 0.9)
     mass_sample_dt: float = 2.0
-    field_alphas: tuple[float, ...] = (0.6, 0.7, 0.8, 0.95)
     converge_base_dt: float = 0.01
     converge_levels: int = 5
     converge_ref_level: int = 5
@@ -115,6 +114,13 @@ def _at_least(minimum):
     return check
 
 
+def _check_seed(key: str, value: int) -> int:
+    # Philox keys are 64-bit: a wider seed would alias one below 2^64
+    if not 0 <= value < 2**64:
+        raise ValidationError(key, f"seed must lie in [0, 2^64 - 1], got {value}")
+    return value
+
+
 def _unit_interval(key: str, value: float) -> float:
     if not 0.0 < value <= 1.0:
         raise ValidationError(key, f"must lie in (0, 1], got {value}")
@@ -162,7 +168,7 @@ _SCHEMA = {
     "scheme.splitting_nonlinear": ("splitting_nonlinear", _parse_bool, _any),
     "noise.K": ("noise_k", _parse_int, _at_least(1)),
     "noise.profile": ("noise_profile", _parse_str, _choice("sin")),
-    "noise.seed": ("noise_seed", _parse_int, _non_negative),
+    "noise.seed": ("noise_seed", _parse_int, _check_seed),
     "horizon.T": ("horizon_t", _parse_float, _positive),
     "output.dir": ("out_dir", _parse_str, _any),
     "output.snapshot_stride": ("snapshot_stride", _parse_int, _non_negative),
@@ -171,7 +177,6 @@ _SCHEMA = {
     "energy.n_paths": ("energy_n_paths", _parse_int, _at_least(1)),
     "mass.alphas": ("mass_alphas", _parse_float_list, _alpha_list),
     "mass.sample_dt": ("mass_sample_dt", _parse_float, _positive),
-    "fields.alphas": ("field_alphas", _parse_float_list, _alpha_list),
     "converge.base_dt": ("converge_base_dt", _parse_float, _positive),
     "converge.levels": ("converge_levels", _parse_int, _at_least(1)),
     "converge.ref_level": ("converge_ref_level", _parse_int, _at_least(1)),
@@ -203,7 +208,6 @@ _COMMENTS = {
     "energy.n_paths": "ensemble size for the energy study",
     "mass.alphas": "exponents for the mass table",
     "mass.sample_dt": "model time between mass samples",
-    "fields.alphas": "exponents for field-evolution runs",
     "converge.base_dt": "coarsest step of the convergence study",
     "converge.levels": "number of halving levels (r = 0..levels-1)",
     "converge.ref_level": "reference halving level, must exceed levels-1",

@@ -1,8 +1,9 @@
 """Orchestrated reproductions of the desk-scale numerical studies.
 
-Four drivers: the per-exponent mass-conservation table, the coupled-path
-strong-convergence study for the splitting scheme, the energy ensemble under
-noise, and single-trajectory field-evolution snapshot runs.  Monte Carlo
+Four drivers, one per CLI study: the single-trajectory evolve run, the
+per-exponent mass-conservation table, the coupled-path strong-convergence
+study for the splitting scheme, and the energy ensemble under noise.  Every
+config becomes a trajectory here; the CLI only writes and prints.  Monte Carlo
 paths are independent work items keyed by (master seed, path index); results
 are aggregated in fixed path order so serial and parallel execution agree
 bit for bit.
@@ -13,17 +14,18 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from .config import RunConfig
-from .diagnostics import energy, mass
+from .diagnostics import energy, l2_error, mass, record_diagnostics
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
-from .errors import ConfigError
+from .errors import ConfigError, SizeError
 from .noise import NoiseModel, build_noise_model, coarsen_path, sample_wiener_path
-from .output import write_snapshot
 from .spectral import ComplexField, GridSpec, build_grid
+
+MAX_TABLE_ENTRIES = 2**25  # steps x K of one increment table: 256 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,52 @@ def _grid_and_noise(config: RunConfig) -> tuple[GridSpec, NoiseModel]:
     return grid, noise
 
 
+def _path_steps(config: RunConfig, dt: float) -> int:
+    """Steps of dt over horizon.T, refused before any table is allocated if
+    the increment table would exceed MAX_TABLE_ENTRIES."""
+    if config.horizon_t / dt * config.noise_k > MAX_TABLE_ENTRIES:
+        raise SizeError(
+            f"horizon.T: T={config.horizon_t} at dt={dt} with K={config.noise_k} modes "
+            f"needs an increment table above {MAX_TABLE_ENTRIES} entries"
+        )
+    return steps_for_horizon(config.horizon_t, dt, "horizon.T")
+
+
+def _trajectory(
+    config: RunConfig,
+    grid: GridSpec,
+    noise: NoiseModel,
+    integrator: str,
+    model: ModelParams,
+    seed: int,
+    observers: list[Observer],
+) -> tuple[ComplexField, dict[str, list[tuple[int, float, Any]]]]:
+    """Evolve the sech carrier over horizon.T at scheme.dt on the path drawn from ``seed``."""
+    steps = _path_steps(config, config.dt)
+    path = sample_wiener_path(noise, steps, config.dt, seed)
+    scheme = scheme_from_config(config)
+    return evolve(sech_carrier_initial(grid), integrator, model, scheme, grid, path, noise, observers)
+
+
+def run_evolution(
+    config: RunConfig,
+) -> tuple[GridSpec, ComplexField, dict[str, list[tuple[int, float, Any]]]]:
+    """Single trajectory of ``config.integrator`` on the path of the master seed.
+
+    Records come back as from ``evolve``: "diag" holds a DiagnosticsRecord
+    every ``diagnostics_stride`` steps and, unless ``snapshot_stride`` is 0,
+    "snap" holds the state every ``snapshot_stride`` steps.  Returns the grid,
+    the final state and the records.
+    """
+    grid, noise = _grid_and_noise(config)
+    model = model_from_config(config)
+    observers = [Observer("diag", config.diagnostics_stride, lambda s: record_diagnostics(s, grid, model))]
+    if config.snapshot_stride > 0:
+        observers.append(Observer("snap", config.snapshot_stride, lambda s: s))
+    final, records = _trajectory(config, grid, noise, config.integrator, model, config.noise_seed, observers)
+    return grid, final, records
+
+
 def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     """Midpoint mass-conservation table: one (time, alpha, mass) row per sample.
 
@@ -108,15 +156,12 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     sampled every ``config.mass_sample_dt`` of model time.
     """
     grid, noise = _grid_and_noise(config)
-    steps = steps_for_horizon(config.horizon_t, config.dt, "horizon.T")
     stride = steps_for_horizon(config.mass_sample_dt, config.dt, "mass.sample_dt")
-    scheme = scheme_from_config(config)
-    initial = sech_carrier_initial(grid)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
-        path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
         observer = Observer("mass", stride, lambda s: mass(s, grid, "norm"))
-        _, records = evolve(initial, "midpoint", model_from_config(config, alpha), scheme, grid, path, noise, [observer])
+        model = model_from_config(config, alpha)
+        _, records = _trajectory(config, grid, noise, "midpoint", model, config.noise_seed, [observer])
         rows.extend((time, alpha, value) for _, time, value in records["mass"])
     return rows
 
@@ -132,35 +177,32 @@ def _convergence_path_errors(
     ref = config.converge_ref_level
     base_dt = config.converge_base_dt
     fine_dt = base_dt / 2**ref
-    fine_steps = steps_for_horizon(config.horizon_t, fine_dt, "horizon.T")
-    seed = path_seed(config.noise_seed, index)
-    fine = sample_wiener_path(noise, fine_steps, fine_dt, seed, level=ref)
+    fine_steps = _path_steps(config, fine_dt)
+    fine = sample_wiener_path(noise, fine_steps, fine_dt, path_seed(config.noise_seed, index))
     initial = sech_carrier_initial(grid)
 
     # reference states stored on the finest test level's time grid, which
     # contains every coarser level's grid
     ref_stride = 2 ** (ref - (levels - 1))
-    snap = Observer("snap", ref_stride, lambda s: s.values)
+    snap = Observer("snap", ref_stride, lambda s: s)
     _, ref_records = evolve(
         initial, "splitting", model, scheme_from_config(config, fine_dt), grid, fine, noise, [snap]
     )
-    ref_states = [value for _, _, value in ref_records["snap"]]
+    ref_states = [state for _, _, state in ref_records["snap"]]
 
     errors = np.empty(levels)
     for r in range(levels):
         dt_r = base_dt / 2**r
         path_r = coarsen_path(fine, 2 ** (ref - r))
-        snap_r = Observer("snap", 1, lambda s: s.values)
+        snap_r = Observer("snap", 1, lambda s: s)
         _, records_r = evolve(
             initial, "splitting", model, scheme_from_config(config, dt_r), grid, path_r, noise, [snap_r]
         )
         spacing = 2 ** ((levels - 1) - r)  # level-r times on the stored reference grid
-        worst = 0.0
-        for n, (_, _, values) in enumerate(records_r["snap"]):
-            diff = values - ref_states[n * spacing]
-            err = np.sqrt(grid.h * float(np.sum(np.abs(diff) ** 2)))
-            worst = max(worst, err)
-        errors[r] = worst
+        errors[r] = max(
+            l2_error(state, ref_states[n * spacing], grid)
+            for n, (_, _, state) in enumerate(records_r["snap"])
+        )
     return errors
 
 
@@ -184,6 +226,8 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
             f"reference level {config.converge_ref_level} must be strictly finer than "
             f"the finest test level {levels - 1}"
         )
+    # the finest table is the largest: refuse it here, before paths fan out
+    _path_steps(config, config.converge_base_dt / 2**config.converge_ref_level)
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
     n_paths = config.converge_n_paths
     worker = partial(_convergence_path_errors, config=config)
@@ -216,12 +260,9 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
 def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...], np.ndarray]:
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
-    steps = steps_for_horizon(config.horizon_t, config.dt, "horizon.T")
-    path = sample_wiener_path(noise, steps, config.dt, path_seed(config.noise_seed, index))
     observer = Observer("energy", config.energy_stride, lambda s: energy(s, grid, model))
-    _, records = evolve(
-        sech_carrier_initial(grid), "midpoint", model, scheme_from_config(config), grid, path, noise, [observer]
-    )
+    seed = path_seed(config.noise_seed, index)
+    _, records = _trajectory(config, grid, noise, "midpoint", model, seed, [observer])
     times = tuple(time for _, time, _ in records["energy"])
     values = np.array([value for _, _, value in records["energy"]])
     return times, values
@@ -245,36 +286,3 @@ def run_energy_ensemble(config: RunConfig) -> EnsembleReport:
     per_path.setflags(write=False)
     mean = per_path.mean(axis=0)
     return EnsembleReport(times=times, per_path_energy=per_path, mean_energy=tuple(float(m) for m in mean))
-
-
-def run_field_evolution(
-    config: RunConfig, write_files: bool = True
-) -> list[tuple[float, int, ComplexField]]:
-    """Single-trajectory snapshot runs for each configured exponent.
-
-    Snapshots land in ``config.out_dir`` as
-    ``field_alpha<alpha>_step<step>.sfns`` (plot-ready binary fields), unless
-    ``write_files`` is off.  Returns the (alpha, step, field) series in run
-    order; a snapshot stride of zero disables snapshots and yields an empty
-    series.
-    """
-    if config.snapshot_stride <= 0:
-        return []
-    grid, noise = _grid_and_noise(config)
-    steps = steps_for_horizon(config.horizon_t, config.dt, "horizon.T")
-    scheme = scheme_from_config(config)
-    out_dir = Path(config.out_dir)
-    if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    snapshots: list[tuple[float, int, ComplexField]] = []
-    for alpha in config.field_alphas:
-        path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
-        observer = Observer("snap", config.snapshot_stride, lambda s: s)
-        _, records = evolve(
-            sech_carrier_initial(grid), config.integrator, model_from_config(config, alpha), scheme, grid, path, noise, [observer]
-        )
-        for step, _, state in records["snap"]:
-            if write_files:
-                write_snapshot(out_dir / f"field_alpha{alpha:g}_step{step:06d}.sfns", state, grid)
-            snapshots.append((alpha, step, state))
-    return snapshots

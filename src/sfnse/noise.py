@@ -34,17 +34,15 @@ _PATH_VERSION = 1
 class NoiseModel:
     """Spatial side of the noise: K mode profiles sampled at the grid nodes.
 
-    ``mode_profiles`` has shape (K, N); ``f_phi`` is the pointwise sum of
-    squared profiles (the Ito correction field, kept for diagnostics only;
-    both schemes consume Stratonovich increments directly).  ``epsilon``
-    scales whole noise fields at evaluation time and is never baked into
-    increment tables.
+    ``mode_profiles`` has shape (K, N) and is read-only.  ``epsilon`` scales
+    whole noise fields at evaluation time and is never baked into increment
+    tables.  Both schemes consume Stratonovich increments directly, so no Ito
+    correction field is kept.
     """
 
     K: int
     epsilon: float
     mode_profiles: np.ndarray
-    f_phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,15 +50,13 @@ class WienerPath:
     """Realized table of Brownian increments, steps rows by K modes.
 
     Each entry is Normal(0, dt).  Regenerating with the same seed reproduces
-    the table bit for bit.  ``level`` tags the refinement level for
-    coarse/fine bookkeeping in convergence studies.
+    the table bit for bit; a coarsened path keeps the seed of its fine path.
     """
 
     seed: int
     dt: float
     steps: int
     increments: np.ndarray
-    level: int = 0
 
 
 def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile="sin") -> NoiseModel:
@@ -90,17 +86,15 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile="sin
             )
     if not np.all(np.isfinite(profiles)):
         raise DomainError("noise profiles contain non-finite values")
-    f_phi = np.sum(profiles**2, axis=0)
     profiles.setflags(write=False)
-    f_phi.setflags(write=False)
-    return NoiseModel(K, epsilon, profiles, f_phi)
+    return NoiseModel(K, epsilon, profiles)
 
 
 def _philox(seed: int, counter: int = 0) -> np.random.Philox:
     seed = int(seed)
-    if seed < 0:
+    if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must be a non-negative 64-bit integer, got {seed}")
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     return np.random.Philox(key=key, counter=[counter, 0, 0, 0])
 
 
@@ -202,9 +196,7 @@ def _normal_from_raw(raw):
     return _ndtri(u)
 
 
-def sample_wiener_path(
-    model: NoiseModel, steps: int, dt: float, seed: int, level: int = 0
-) -> WienerPath:
+def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> WienerPath:
     """Draw the (steps x K) increment table, entries i.i.d. Normal(0, dt).
 
     Entry (n, l) is a pure function of (seed, n, l): it sits at position
@@ -221,7 +213,7 @@ def sample_wiener_path(
     z = _normal_from_raw(np.asarray(raw, dtype=np.uint64))
     inc = (math.sqrt(dt) * z).reshape(steps, model.K)
     inc.setflags(write=False)
-    return WienerPath(int(seed), dt, steps, inc, int(level))
+    return WienerPath(int(seed), dt, steps, inc)
 
 
 def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float:
@@ -240,8 +232,7 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
 
     Power-of-two factors are reduced by repeated pairwise halving so that
     coarsen(coarsen(p, 2), 2) and coarsen(p, 4) agree bit for bit; any odd
-    remainder is folded left to right.  dt is multiplied by the factor and
-    the refinement level decremented.
+    remainder is folded left to right.  dt is multiplied by the factor.
     """
     factor = int(factor)
     if factor < 1:
@@ -263,7 +254,7 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
         inc = acc
     inc = np.ascontiguousarray(inc)
     inc.setflags(write=False)
-    return WienerPath(path.seed, path.dt * factor, path.steps // factor, inc, path.level - 1)
+    return WienerPath(path.seed, path.dt * factor, path.steps // factor, inc)
 
 
 def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec) -> np.ndarray:
@@ -314,4 +305,4 @@ def load_path(source) -> WienerPath:
         raise IoError(source, f"expected {expected} bytes, found {len(blob)}")
     inc = np.frombuffer(blob, dtype="<f8", offset=_PATH_HEADER.size).reshape(steps, K).copy()
     inc.setflags(write=False)
-    return WienerPath(int(seed), float(dt), int(steps), inc, 0)
+    return WienerPath(int(seed), float(dt), int(steps), inc)

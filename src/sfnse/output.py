@@ -77,19 +77,3 @@ def read_snapshot(source) -> tuple[GridSpec, ComplexField]:
     values = np.frombuffer(blob, dtype="<c16", offset=_SNAP_HEADER.size).copy()
     grid = GridSpec(a, b, n)
     return grid, ComplexField(values, time=time)
-
-
-def write_outputs(records, format: str, destination) -> None:
-    """Spec-level dispatcher over the two output formats.
-
-    For ``format="csv"`` records is a (header, rows) pair; for
-    ``format="snapshot"`` records is a (field, grid) pair.
-    """
-    if format == "csv":
-        header, rows = records
-        write_csv(destination, header, rows)
-    elif format == "snapshot":
-        field, grid = records
-        write_snapshot(destination, field, grid)
-    else:
-        raise DomainError(f"format must be 'csv' or 'snapshot', got {format!r}")

@@ -96,22 +96,21 @@ def _check_alpha(alpha: float) -> float:
 
 
 @lru_cache(maxsize=128)
-def _symbol_arrays(a: float, b: float, N: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    kmu = 2.0 * np.pi / (b - a) * np.fft.fftfreq(N, d=1.0 / N)
+def operator_symbols(grid: GridSpec, alpha: float) -> OperatorSymbols:
+    """Spectral multipliers for the fractional operators, built once per (grid, alpha).
+
+    Alpha is validated on a cache miss; repeated calls return the same
+    read-only ``OperatorSymbols`` object.
+    """
+    alpha = _check_alpha(alpha)
+    kmu = grid.wavenumbers()
     absk = np.abs(kmu)
     lap = absk ** (2.0 * alpha)
     # sign(k)*|k*mu|^alpha == k*mu*|k*mu|^(alpha-1) without the 0**negative hazard
     g = 1j * np.sign(kmu) * absk**alpha
-    g[N // 2] = 0.0  # odd symbol: the two half-weight Nyquist images cancel
+    g[grid.N // 2] = 0.0  # odd symbol: the two half-weight Nyquist images cancel
     lap.setflags(write=False)
     g.setflags(write=False)
-    return lap, g
-
-
-def operator_symbols(grid: GridSpec, alpha: float) -> OperatorSymbols:
-    """Build (or fetch cached) spectral multipliers for the fractional operators."""
-    alpha = _check_alpha(alpha)
-    lap, g = _symbol_arrays(grid.a, grid.b, grid.N, alpha)
     return OperatorSymbols(alpha, lap, g)
 
 

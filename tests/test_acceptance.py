@@ -286,12 +286,12 @@ output.snapshot_stride = 10
     write_csv(file_b, ["time", "alpha", "mass"], rows_b)
     assert file_a.read_bytes() == file_b.read_bytes()
 
-    from dataclasses import replace
+    from sfnse.cli import main
 
-    from sfnse.experiments import run_field_evolution
-
-    run_field_evolution(replace(config, out_dir=str(tmp_path / "snap_a")))
-    run_field_evolution(replace(config, out_dir=str(tmp_path / "snap_b")))
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(config_text)
+    for out in ("snap_a", "snap_b"):
+        assert main(["evolve", "--quiet", "--config", str(config_file), "--out", str(tmp_path / out)]) == 0
     names_a = sorted(p.name for p in (tmp_path / "snap_a").glob("*.sfns"))
     names_b = sorted(p.name for p in (tmp_path / "snap_b").glob("*.sfns"))
     assert names_a == names_b and names_a

@@ -1,10 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from sfnse import experiments
 from sfnse.cli import main
 from sfnse.output import read_snapshot
 
@@ -135,6 +137,24 @@ class TestExitCodes:
         assert "model.lambda" in err
         assert "numerical failure" not in err
 
+    def test_huge_horizon_refused_before_any_table(self, tmp_path, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("increment table allocated")
+
+        monkeypatch.setattr(experiments, "sample_wiener_path", no_table)
+        # K = 10 and dt = 0.01: one step past the guard, then a horizon whose step count has 303 digits
+        just_over = 0.01 * (experiments.MAX_TABLE_ENTRIES // 10 + 1)
+        for command, text in (
+            ("evolve", FAST_EVOLVE),
+            ("mass-table", FAST_MASS),
+            ("converge", FAST_CONVERGE),
+            ("energy", FAST_ENERGY),
+        ):
+            for horizon in (just_over, 1e300):
+                huge = re.sub(r"horizon\.T = \S+", f"horizon.T = {horizon!r}", text)
+                assert run_cli([command, "--quiet"], tmp_path, huge) == 1
+                assert "horizon.T" in capsys.readouterr().err
+
     def test_nonconvergence_exit(self, tmp_path, capsys):
         config = """
 grid.N = 64
@@ -168,6 +188,32 @@ class TestSeedPlumbing:
         a = (tmp_path / "a" / "energy_ensemble.csv").read_bytes()
         b = (tmp_path / "b" / "energy_ensemble.csv").read_bytes()
         assert a == b
+
+    def test_seed_above_64_bits_rejected(self, tmp_path, capsys):
+        too_big = str(2**64)
+        cases = [
+            ("noise.seed", [], FAST_EVOLVE + f"noise.seed = {too_big}\n", None),
+            ("SFNSE_SEED", [], FAST_EVOLVE, too_big),
+            ("--seed", ["--seed", too_big], FAST_EVOLVE, None),
+        ]
+        for key, flags, text, env_seed in cases:
+            assert run_cli(["evolve", "--quiet", *flags], tmp_path, text, env_seed=env_seed) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_accepted_everywhere(self, tmp_path):
+        top = str(2**64 - 1)
+        cases = [
+            ([], FAST_EVOLVE + f"noise.seed = {top}\n", None),
+            ([], FAST_EVOLVE, top),
+            (["--seed", top], FAST_EVOLVE, None),
+        ]
+        outputs = []
+        for i, (flags, text, env_seed) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            assert run_cli(["evolve", "--quiet", "--out", str(out), *flags], tmp_path, text, env_seed=env_seed) == 0
+            outputs.append((out / "evolve_diagnostics.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_paths_flag_overrides(self, tmp_path):
         run_cli(["energy", "--quiet", "--paths", "3"], tmp_path, FAST_ENERGY)

@@ -3,7 +3,7 @@ import pytest
 
 from sfnse.config import RunConfig, parse_config, write_default_config
 from sfnse.errors import IoError, ParseError, UnknownKeyError, ValidationError
-from sfnse.output import format_value, read_snapshot, write_csv, write_outputs, write_snapshot
+from sfnse.output import format_value, read_snapshot, write_csv, write_snapshot
 from sfnse.spectral import ComplexField, build_grid
 
 
@@ -89,6 +89,7 @@ mass.alphas = 0.5, 0.75
             ("scheme.dt = 0", "scheme.dt"),
             ("noise.K = 0", "noise.K"),
             ("noise.seed = -3", "noise.seed"),
+            ("noise.seed = 18446744073709551616", "noise.seed"),  # 2^64
             ("scheme.integrator = rk4", "scheme.integrator"),
             ("mass.alphas = 0.5, 2.0", "mass.alphas"),
             ("experiments.workers = 0", "experiments.workers"),
@@ -158,15 +159,3 @@ class TestSnapshot:
             read_snapshot(bad)
         with pytest.raises(IoError):
             read_snapshot(tmp_path / "gone.sfns")
-
-
-class TestWriteOutputs:
-    def test_dispatch(self, tmp_path):
-        write_outputs((["x"], [(1.0,)]), "csv", tmp_path / "t.csv")
-        assert (tmp_path / "t.csv").exists()
-        grid = build_grid(0.0, 1.0, 4)
-        field = ComplexField(np.zeros(4, complex))
-        write_outputs((field, grid), "snapshot", tmp_path / "t.sfns")
-        assert (tmp_path / "t.sfns").exists()
-        with pytest.raises(Exception):
-            write_outputs(None, "yaml", tmp_path / "t.yaml")

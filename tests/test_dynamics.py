@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from sfnse import dynamics
 from sfnse.diagnostics import l2_error, mass
 from sfnse.dynamics import (
     ModelParams,
@@ -61,8 +62,9 @@ class TestModelParams:
             ModelParams(alpha=0.5, lam=1.0, sigma=0.0, epsilon=-0.01)
 
     def test_focusing_range_warning(self):
-        with pytest.warns(UserWarning, match="global-existence"):
-            ModelParams(alpha=0.5, lam=-1.0, sigma=1.0)
+        for lam in (-1.0, -0.5):
+            with pytest.warns(UserWarning, match="global-existence"):
+                ModelParams(alpha=0.5, lam=lam, sigma=1.0)
         import warnings
 
         with warnings.catch_warnings():
@@ -296,16 +298,25 @@ class TestEvolve:
 
     def test_unknown_integrator(self):
         grid, model, scheme, noise, path = self._setup()
-        with pytest.raises(DomainError):
-            evolve(random_state(grid, 20), "leapfrog", model, scheme, grid, path, noise)
+        for integrator in ("leapfrog", splitting_step):
+            with pytest.raises(DomainError):
+                evolve(random_state(grid, 20), integrator, model, scheme, grid, path, noise)
 
-    def test_custom_stepper_callable(self):
+    def test_one_increment_field_and_one_step_per_step(self, monkeypatch):
         grid, model, scheme, noise, path = self._setup(steps=3)
         calls = []
 
-        def stepper(state, dW, model_, scheme_, grid_):
-            calls.append(len(calls))
-            return splitting_step(state, dW, model_, scheme_, grid_)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        evolve(random_state(grid, 21), stepper, model, scheme, grid, path, noise)
-        assert calls == [0, 1, 2]
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "increment_field", counted("field", increment_field))
+        for integrator in ("midpoint", "splitting"):
+            step = dynamics._STEPPERS[integrator]
+            monkeypatch.setitem(dynamics._STEPPERS, integrator, counted(integrator, step))
+            calls.clear()
+            evolve(random_state(grid, 21), integrator, model, scheme, grid, path, noise)
+            assert calls == ["field", integrator] * 3

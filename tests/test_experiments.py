@@ -1,17 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sfnse.cli import main
 from sfnse.config import parse_config
 from sfnse.errors import ConfigError
 from sfnse.experiments import (
+    _path_steps,
     path_seed,
     run_convergence_study,
     run_energy_ensemble,
-    run_field_evolution,
+    run_evolution,
     run_mass_table,
     sech_carrier_initial,
 )
-from sfnse.spectral import build_grid
+from sfnse.output import read_snapshot
 
 
 def tiny_convergence_config(**overrides):
@@ -148,47 +152,64 @@ noise.K = 10
         assert not np.allclose(report.per_path_energy[0], report.per_path_energy[1])
 
 
-class TestFieldEvolution:
-    def _config(self, stride, out_dir, alphas="0.6"):
-        return parse_config(
-            f"""
+EVOLVE_CONFIG = """
 grid.N = 64
 model.epsilon = 0.01
 horizon.T = 0.1
-fields.alphas = {alphas}
 output.snapshot_stride = {stride}
-output.dir = {out_dir}
 noise.K = 10
 """
-        )
+
+
+class TestFieldEvolution:
+    def _cli_snapshots(self, tmp_path, stride, out):
+        config = tmp_path / f"evolve_{stride}.cfg"
+        config.write_text(EVOLVE_CONFIG.format(stride=stride))
+        assert main(["evolve", "--quiet", "--config", str(config), "--out", str(out)]) == 0
+        return sorted(p.name for p in out.glob("*.sfns"))
 
     def test_snapshots_finite_bounded_and_written(self, tmp_path):
-        snapshots = run_field_evolution(self._config(5, tmp_path / "snaps"))
-        assert len(snapshots) == 3  # steps 0, 5, 10
-        grid = build_grid(-20.0, 20.0, 64)
+        grid, final, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=5)))
+        snapshots = records["snap"]
+        assert [step for step, _, _ in snapshots] == [0, 5, 10]
+        assert snapshots[-1][2] is final
         peak0 = np.max(np.abs(sech_carrier_initial(grid).values))
-        for alpha, step, state in snapshots:
+        for _, _, state in snapshots:
             assert np.all(np.isfinite(state.values))
             assert np.max(np.abs(state.values)) <= 2.0 * peak0
-        names = sorted(p.name for p in (tmp_path / "snaps").glob("*.sfns"))
-        assert names == [
-            "field_alpha0.6_step000000.sfns",
-            "field_alpha0.6_step000005.sfns",
-            "field_alpha0.6_step000010.sfns",
-        ]
+        names = self._cli_snapshots(tmp_path, 5, tmp_path / "snaps")
+        assert names == ["snapshot_000000.sfns", "snapshot_000005.sfns", "snapshot_000010.sfns"]
+        _, written = read_snapshot(tmp_path / "snaps" / names[-1])
+        assert np.array_equal(written.values, final.values)
 
     def test_zero_stride_empty_series(self, tmp_path):
-        assert run_field_evolution(self._config(0, tmp_path)) == []
-        assert list(tmp_path.glob("*.sfns")) == []
+        _, _, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=0)))
+        assert "snap" not in records
+        assert self._cli_snapshots(tmp_path, 0, tmp_path / "out") == []
+        assert (tmp_path / "out" / "evolve_diagnostics.csv").exists()
 
     def test_snapshot_files_bit_identical_across_reruns(self, tmp_path):
-        a = run_field_evolution(self._config(5, tmp_path / "a"))
-        b = run_field_evolution(self._config(5, tmp_path / "b"))
-        for (al_a, st_a, f_a), (al_b, st_b, f_b) in zip(a, b):
-            assert al_a == al_b and st_a == st_b
+        config = parse_config(EVOLVE_CONFIG.format(stride=5))
+        _, _, a = run_evolution(config)
+        _, _, b = run_evolution(config)
+        for (st_a, _, f_a), (st_b, _, f_b) in zip(a["snap"], b["snap"], strict=True):
+            assert st_a == st_b
             assert np.array_equal(f_a.values, f_b.values)
-        for name in ("field_alpha0.6_step000010.sfns",):
+        names = self._cli_snapshots(tmp_path, 5, tmp_path / "a")
+        assert names == self._cli_snapshots(tmp_path, 5, tmp_path / "b")
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_table_guard_admits_every_shipped_config():
+    root = Path(__file__).resolve().parents[1]
+    shipped = sorted([*root.glob("configs/*.cfg"), *root.glob("perfbench/workloads/*.cfg")])
+    assert len(shipped) >= 6
+    for path in shipped:
+        config = parse_config(path.read_text(encoding="utf-8"))
+        fine_dt = config.converge_base_dt / 2**config.converge_ref_level
+        for dt in (config.dt, fine_dt):
+            _path_steps(config, dt)  # raises SizeError past the guard
 
 
 def test_path_seed_is_stable_and_distinct():

@@ -31,12 +31,9 @@ class TestNoiseModel:
         x = grid.nodes()
         for l in (1, 7, 100):
             assert np.allclose(model.mode_profiles[l - 1], np.sin(np.pi * l * x) / l, atol=0)
-        expect = sum(np.sin(np.pi * l * x) ** 2 / l**2 for l in range(1, 101))
-        assert np.max(np.abs(model.f_phi - expect)) < 1e-13
 
     def test_zero_profile(self, grid):
         model = build_noise_model(1, grid, epsilon=0.5, profile=np.zeros((1, 400)))
-        assert np.all(model.f_phi == 0.0)
         path = sample_wiener_path(model, 4, 0.1, seed=0)
         assert np.all(increment_field(path, 0, model, grid) == 0.0)
 
@@ -45,11 +42,8 @@ class TestNoiseModel:
         x = g.nodes()
         profiles = np.stack([np.sin(x), np.cos(x)])
         model = build_noise_model(2, g, profile=profiles)
-        assert np.max(np.abs(model.f_phi - (np.sin(x) ** 2 + np.cos(x) ** 2))) < 1e-13
-
-    def test_f_phi_matches_recomputation(self, grid):
-        model = build_noise_model(25, grid)
-        assert np.max(np.abs(model.f_phi - np.sum(model.mode_profiles**2, axis=0))) < 1e-13
+        assert np.array_equal(model.mode_profiles, profiles)
+        assert not model.mode_profiles.flags.writeable
 
     def test_rejects_bad_inputs(self, grid):
         with pytest.raises(DomainError):
@@ -103,6 +97,17 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_wiener_path(model, 1, 0.1, seed=-1)
 
+    def test_seed_above_64_bits_rejected_not_aliased(self, grid):
+        model = build_noise_model(2, grid)
+        with pytest.raises(DomainError):
+            sample_wiener_path(model, 4, 0.1, seed=2**64)
+        with pytest.raises(DomainError):
+            increment_entry(2**64, 0, 0, K=2, dt=0.1)
+        top = sample_wiener_path(model, 4, 0.1, seed=2**64 - 1)
+        assert top.seed == 2**64 - 1
+        assert not np.array_equal(top.increments, sample_wiener_path(model, 4, 0.1, seed=0).increments)
+        assert increment_entry(2**64 - 1, 3, 1, K=2, dt=0.1) == top.increments[3, 1]
+
 
 def _uniforms(words):
     # the uniform that _normal_from_raw builds from each raw word
@@ -150,13 +155,13 @@ class TestCoarsening:
 
     def test_factor_two_sums_pairs_exactly(self, grid):
         model = build_noise_model(4, grid)
-        path = sample_wiener_path(model, 16, 0.1, seed=6, level=3)
+        path = sample_wiener_path(model, 16, 0.1, seed=6)
         coarse = coarsen_path(path, 2)
         expect = path.increments[0::2] + path.increments[1::2]
         assert np.array_equal(coarse.increments, expect)
         assert coarse.dt == pytest.approx(0.2)
         assert coarse.steps == 8
-        assert coarse.level == 2
+        assert coarse.seed == path.seed
 
     def test_iterated_halving_matches_single_coarsen(self, grid):
         model = build_noise_model(3, grid)
@@ -255,5 +260,5 @@ class TestPathFiles:
 
 
 def test_empty_path_constructible_for_degenerate_evolutions():
-    path = WienerPath(seed=0, dt=0.1, steps=0, increments=np.empty((0, 2)), level=0)
+    path = WienerPath(seed=0, dt=0.1, steps=0, increments=np.empty((0, 2)))
     assert path.steps == 0

@@ -187,7 +187,8 @@ class TestSymbols:
         g = build_grid(0.0, 1.0, 16)
         s1 = operator_symbols(g, 0.75)
         s2 = operator_symbols(g, 0.75)
-        assert s1.lap_symbol is s2.lap_symbol
+        assert s1 is s2
+        assert operator_symbols(build_grid(0.0, 1.0, 16), 0.75) is s1
         with pytest.raises(ValueError):
             s1.lap_symbol[0] = 1.0
 
