@@ -32,10 +32,8 @@ from .noise import (
     WienerPath,
     build_noise_model,
     coarsen_path,
-    dump_path,
     increment_entry,
     increment_field,
-    load_path,
     sample_wiener_path,
 )
 from .output import read_snapshot, write_csv, write_snapshot
@@ -69,13 +67,11 @@ __all__ = [
     "build_grid",
     "build_noise_model",
     "coarsen_path",
-    "dump_path",
     "energy",
     "evolve",
     "increment_entry",
     "increment_field",
     "l2_error",
-    "load_path",
     "mass",
     "materialize_operator",
     "midpoint_step",

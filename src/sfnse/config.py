@@ -32,7 +32,6 @@ class RunConfig:
     dt: float = 0.01
     fp_tol: float = 1e-12
     fp_max_iter: int = 50
-    splitting_nonlinear: bool = False
     noise_k: int = 100
     noise_profile: str = "sin"
     noise_seed: int = 123456789
@@ -66,14 +65,6 @@ def _parse_int(text: str) -> int:
         return int(text, 10)
     except ValueError:
         raise _Malformed(f"invalid integer {text!r}") from None
-
-
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise _Malformed(f"invalid boolean {text!r} (expected true or false)")
 
 
 def _parse_str(text: str) -> str:
@@ -165,7 +156,6 @@ _SCHEMA = {
     "scheme.dt": ("dt", _parse_float, _positive),
     "scheme.fp_tol": ("fp_tol", _parse_float, _positive),
     "scheme.fp_max_iter": ("fp_max_iter", _parse_int, _at_least(1)),
-    "scheme.splitting_nonlinear": ("splitting_nonlinear", _parse_bool, _any),
     "noise.K": ("noise_k", _parse_int, _at_least(1)),
     "noise.profile": ("noise_profile", _parse_str, _choice("sin")),
     "noise.seed": ("noise_seed", _parse_int, _check_seed),
@@ -196,7 +186,6 @@ _COMMENTS = {
     "scheme.dt": "time step",
     "scheme.fp_tol": "implicit-solver residual tolerance (discrete l2)",
     "scheme.fp_max_iter": "implicit-solver iteration cap",
-    "scheme.splitting_nonlinear": "enable the experimental sigma > 0 splitting",
     "noise.K": "retained noise modes",
     "noise.profile": "spatial mode family",
     "noise.seed": "master seed (overridden by SFNSE_SEED, then --seed)",
@@ -258,9 +247,7 @@ def write_default_config() -> str:
     for field in fields(RunConfig):
         key = by_attr[field.name]
         value = getattr(defaults, field.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             text = ", ".join(repr(item) for item in value)
         elif isinstance(value, float):
             text = repr(value)

@@ -75,13 +75,11 @@ def l2_error(a: ComplexField, b: ComplexField, grid: GridSpec) -> float:
     return math.sqrt(grid.h * float(np.sum(np.abs(va - vb) ** 2)))
 
 
-def record_diagnostics(
-    state: ComplexField, grid: GridSpec, model: ModelParams, mass_mode: str = "norm"
-) -> DiagnosticsRecord:
-    """Bundle the standard per-snapshot diagnostics."""
+def record_diagnostics(state: ComplexField, grid: GridSpec, model: ModelParams) -> DiagnosticsRecord:
+    """Bundle the standard per-snapshot diagnostics (mass in its norm form)."""
     return DiagnosticsRecord(
         time=state.time,
-        mass=mass(state, grid, mass_mode),
+        mass=mass(state, grid),
         energy=energy(state, grid, model),
         max_amplitude=float(np.max(np.abs(state.values))),
     )
@@ -99,8 +97,9 @@ def symplectic_defect(
     """Max-norm defect of the one-step map's Jacobian against the canonical form.
 
     With frozen noise increment the step is a smooth map of (p, q) =
-    (Re u, Im u).  Its 2N x 2N Jacobian J is formed column by column with
-    central differences of size ``fd_eps``; the return value is
+    (Re u, Im u).  ``stepper`` is an array step with the signature of
+    ``midpoint_step``.  Its 2N x 2N Jacobian J is formed column by column
+    with central differences of size ``fd_eps``; the return value is
     max |(J^T Omega J - Omega)_{ij}| for Omega pairing p_j with q_j.  The
     default fd_eps balances truncation against cancellation for unit-scale
     states.  Guarded to N <= 32.
@@ -113,9 +112,8 @@ def symplectic_defect(
     dW = np.asarray(dW, dtype=np.float64)
 
     def flow(x: np.ndarray) -> np.ndarray:
-        field = ComplexField(x[:N] + 1j * x[N:], time=state.time)
-        out = stepper(field, dW, model, scheme, grid)
-        return np.concatenate([out.values.real, out.values.imag])
+        out = stepper(x[:N] + 1j * x[N:], dW, model, scheme, grid)
+        return np.concatenate([out.real, out.imag])
 
     x0 = np.concatenate([state.values.real, state.values.imag])
     J = np.empty((2 * N, 2 * N))

@@ -4,9 +4,9 @@ Two schemes: an implicit stochastic midpoint rule, solved per step by a
 fixed-point iteration with the stiff linear part inverted exactly per Fourier
 mode, and an explicit splitting scheme alternating the exact phase/noise flow
 with the exact linear spectral flow.  The midpoint rule consumes Stratonovich
-increments directly (no Ito correction); the splitting scheme covers the
-linear-potential case sigma = 0, with an optional amplitude-phase extension
-for sigma > 0.
+increments directly (no Ito correction).  Both steps map a length-N array to
+a length-N array; ``evolve`` wraps states in ``ComplexField`` only where
+observers see them and for the returned final state.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    NonConvergence,
-    ShapeError,
-    UnsupportedNonlinearity,
-)
+from .errors import ConfigError, DomainError, NonConvergence, ShapeError
 from .noise import NoiseModel, WienerPath, increment_field
 from .spectral import ComplexField, GridSpec, _check_alpha, operator_symbols
 
@@ -67,13 +61,11 @@ class SchemeParams:
     ``fp_tol`` bounds the certified residual of the midpoint relation in the
     discrete l2 norm; ``fp_max_iter`` caps fixed-point evaluations.  dt = 0 is
     allowed as a degenerate step that returns the state unchanged.
-    ``splitting_nonlinear`` opts into the experimental sigma > 0 splitting.
     """
 
     dt: float
     fp_tol: float = 1e-12
     fp_max_iter: int = 50
-    splitting_nonlinear: bool = False
 
     def __post_init__(self) -> None:
         if self.dt < 0.0:
@@ -84,7 +76,9 @@ class SchemeParams:
             raise DomainError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
 
 
-def _check_dw(dW, grid: GridSpec) -> np.ndarray:
+def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> np.ndarray:
+    if v.shape != (grid.N,):
+        raise ShapeError(f"state length {v.shape} does not match grid N={grid.N}")
     dW = np.asarray(dW, dtype=np.float64)
     if dW.shape != (grid.N,):
         raise ShapeError(f"noise increment shape {dW.shape} does not match grid N={grid.N}")
@@ -92,15 +86,15 @@ def _check_dw(dW, grid: GridSpec) -> np.ndarray:
 
 
 def midpoint_step(
-    state: ComplexField,
+    v: np.ndarray,
     dW,
     model: ModelParams,
     scheme: SchemeParams,
     grid: GridSpec,
-) -> ComplexField:
-    """One step of the implicit stochastic midpoint scheme.
+) -> np.ndarray:
+    """One step of the implicit stochastic midpoint scheme on the array phi = v.
 
-    Returns phi' solving, with psi = (phi + phi')/2 and L the positive
+    Returns the array phi' solving, with psi = (phi + phi')/2 and L the positive
     fractional Laplacian,
 
         i (phi' - phi)/dt = L psi + lam |psi|^(2 sigma) psi + psi dW/dt.
@@ -115,14 +109,12 @@ def midpoint_step(
     in the discrete l2 norm (tighter than the 10*fp_tol contract).
 
     Raises NonConvergence when fp_max_iter evaluations do not certify the
-    tolerance, which usually signals that dt is too large.
+    tolerance, which usually signals that dt is too large.  With dt = 0 the
+    input array itself comes back; ``v`` and ``dW`` are never written.
     """
-    v = state.values
-    if v.shape != (grid.N,):
-        raise ShapeError(f"state length {v.shape} does not match grid N={grid.N}")
-    dW = _check_dw(dW, grid)
+    dW = _check_step_args(v, dW, grid)
     if scheme.dt == 0.0:
-        return state
+        return v
     dt = scheme.dt
     lap = operator_symbols(grid, model.alpha).lap_symbol
     denom = 2.0 + 1j * dt * lap
@@ -144,7 +136,7 @@ def midpoint_step(
         # (2 I + i dt L)(psi_m - psi_{m+1}) = -i dt R(psi_m) for the relation residual R
         residual = coeff_norm * np.linalg.norm(denom * (psi_hat - psi_hat_next)) / dt
         if residual <= scheme.fp_tol:
-            return ComplexField(2.0 * psi - v, time=state.time + dt)
+            return 2.0 * psi - v
         if not math.isfinite(residual):
             raise NonConvergence(
                 f"midpoint fixed point diverged after {evals} evaluations (dt too large?)",
@@ -171,43 +163,35 @@ def _linear_flow_factor(grid: GridSpec, alpha: float, dt: float) -> np.ndarray:
 
 
 def splitting_step(
-    state: ComplexField,
+    v: np.ndarray,
     dW,
     model: ModelParams,
     scheme: SchemeParams,
     grid: GridSpec,
-) -> ComplexField:
-    """One step of the mass-preserving splitting scheme.
+) -> np.ndarray:
+    """One step of the mass-preserving splitting scheme on the array u = v.
 
     Applies the exact phase/noise flow nodewise, then the exact linear flow
     spectrally:
 
-        u' = exp(-i dt (-Delta)^alpha) [exp(-i dt lam - i dW(x)) u].
+        u' = exp(-i dt (-Delta)^alpha) [exp(-i dt lam |u|^(2 sigma) - i dW(x)) u].
 
-    Both factors are unimodular, so the discrete mass is preserved to
-    roundoff.  For sigma > 0 the scheme is only defined through the optional
-    extension exp(-i dt lam |u|^(2 sigma) - i dW(x)), which uses that |u| is
-    invariant along the phase flow; it must be enabled explicitly via
-    SchemeParams.splitting_nonlinear.
+    The phase flow is exact because |u| is invariant along it.  Both factors
+    are unimodular, so the discrete mass is preserved to roundoff.  With
+    dt = 0 the input array itself comes back; ``v`` and ``dW`` are never
+    written.
     """
-    v = state.values
-    if v.shape != (grid.N,):
-        raise ShapeError(f"state length {v.shape} does not match grid N={grid.N}")
-    dW = _check_dw(dW, grid)
-    if model.sigma != 0.0 and not scheme.splitting_nonlinear:
-        raise UnsupportedNonlinearity(
-            f"splitting with sigma={model.sigma} requires SchemeParams.splitting_nonlinear"
-        )
+    dW = _check_step_args(v, dW, grid)
     if scheme.dt == 0.0:
-        return state
+        return v
     dt = scheme.dt
     if model.sigma == 0.0:
+        # |u|^0 = 1: skip the abs/pow per step (same bytes)
         phase = np.exp(-1j * (dt * model.lam + dW))
     else:
         phase = np.exp(-1j * (dt * model.lam * np.abs(v) ** (2.0 * model.sigma) + dW))
     linear = _linear_flow_factor(grid, model.alpha, dt)
-    out = np.fft.ifft(np.fft.fft(v * phase) * linear)
-    return ComplexField(out, time=state.time + dt)
+    return np.fft.ifft(np.fft.fft(v * phase) * linear)
 
 
 @dataclass(frozen=True)
@@ -244,6 +228,11 @@ def evolve(
     stride-th step; records come back per observer name as (step, time,
     value) tuples in step order.  Step failures are re-raised with the
     failing step index attached.
+
+    The steps run on plain arrays.  A ``ComplexField`` is built only for a
+    step where some observer fires (all observers of that step share it)
+    and for the final state, which is that same field when an observer
+    fired on the last step, and ``initial`` itself for a path of no steps.
     """
     try:
         step_fn = _STEPPERS[integrator]
@@ -252,18 +241,24 @@ def evolve(
     if path.steps > 0 and not math.isclose(path.dt, scheme.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ConfigError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
 
+    v, t = initial.values, initial.time
     records: dict[str, list[tuple[int, float, Any]]] = {obs.name: [] for obs in observers}
-    state = initial
     for obs in observers:
-        records[obs.name].append((0, state.time, obs.fn(state)))
+        records[obs.name].append((0, t, obs.fn(initial)))
+    state, state_step = initial, 0
     for n in range(path.steps):
         dW = increment_field(path, n, noise, grid)
         try:
-            state = step_fn(state, dW, model, scheme, grid)
+            v = step_fn(v, dW, model, scheme, grid)
         except NonConvergence as exc:
             exc.step = n
             raise
-        for obs in observers:
-            if (n + 1) % obs.stride == 0:
-                records[obs.name].append((n + 1, state.time, obs.fn(state)))
+        t = t + scheme.dt
+        due = [obs for obs in observers if (n + 1) % obs.stride == 0]
+        if due:
+            state, state_step = ComplexField(v, time=t), n + 1
+            for obs in due:
+                records[obs.name].append((n + 1, t, obs.fn(state)))
+    if state_step != path.steps:
+        state = ComplexField(v, time=t)
     return state, records

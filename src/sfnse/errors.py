@@ -17,10 +17,6 @@ class DivisibilityError(ValueError):
     """An integer argument fails a required divisibility relation."""
 
 
-class UnsupportedNonlinearity(ValueError):
-    """The splitting scheme needs its nonlinear extension enabled for sigma > 0."""
-
-
 class NonConvergence(RuntimeError):
     """The implicit solver did not reach its tolerance within the iteration cap.
 

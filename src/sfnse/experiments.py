@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -22,7 +23,7 @@ from .config import RunConfig
 from .diagnostics import energy, l2_error, mass, record_diagnostics
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
 from .errors import ConfigError, SizeError
-from .noise import NoiseModel, build_noise_model, coarsen_path, sample_wiener_path
+from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
 
 MAX_TABLE_ENTRIES = 2**25  # steps x K of one increment table: 256 MiB of float64
@@ -72,6 +73,8 @@ def path_seed(master_seed: int, index: int) -> int:
 
 
 def steps_for_horizon(T: float, dt: float, key: str) -> int:
+    if not math.isfinite(T / dt):
+        raise ConfigError(f"{key}: horizon T={T} over dt={dt} is more steps than a float can count")
     steps = round(T / dt)
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ConfigError(f"{key}: horizon T={T} is not an integral number of steps of dt={dt}")
@@ -92,7 +95,6 @@ def scheme_from_config(config: RunConfig, dt: float | None = None) -> SchemePara
         dt=config.dt if dt is None else dt,
         fp_tol=config.fp_tol,
         fp_max_iter=config.fp_max_iter,
-        splitting_nonlinear=config.splitting_nonlinear,
     )
 
 
@@ -113,18 +115,21 @@ def _path_steps(config: RunConfig, dt: float) -> int:
     return steps_for_horizon(config.horizon_t, dt, "horizon.T")
 
 
+def _horizon_path(config: RunConfig, noise: NoiseModel, seed: int) -> WienerPath:
+    """The path drawn from ``seed`` over horizon.T at scheme.dt."""
+    return sample_wiener_path(noise, _path_steps(config, config.dt), config.dt, seed)
+
+
 def _trajectory(
     config: RunConfig,
     grid: GridSpec,
     noise: NoiseModel,
+    path: WienerPath,
     integrator: str,
     model: ModelParams,
-    seed: int,
     observers: list[Observer],
 ) -> tuple[ComplexField, dict[str, list[tuple[int, float, Any]]]]:
-    """Evolve the sech carrier over horizon.T at scheme.dt on the path drawn from ``seed``."""
-    steps = _path_steps(config, config.dt)
-    path = sample_wiener_path(noise, steps, config.dt, seed)
+    """Evolve the sech carrier along ``path`` at scheme.dt."""
     scheme = scheme_from_config(config)
     return evolve(sech_carrier_initial(grid), integrator, model, scheme, grid, path, noise, observers)
 
@@ -144,7 +149,8 @@ def run_evolution(
     observers = [Observer("diag", config.diagnostics_stride, lambda s: record_diagnostics(s, grid, model))]
     if config.snapshot_stride > 0:
         observers.append(Observer("snap", config.snapshot_stride, lambda s: s))
-    final, records = _trajectory(config, grid, noise, config.integrator, model, config.noise_seed, observers)
+    path = _horizon_path(config, noise, config.noise_seed)
+    final, records = _trajectory(config, grid, noise, path, config.integrator, model, observers)
     return grid, final, records
 
 
@@ -157,11 +163,12 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     """
     grid, noise = _grid_and_noise(config)
     stride = steps_for_horizon(config.mass_sample_dt, config.dt, "mass.sample_dt")
+    path = _horizon_path(config, noise, config.noise_seed)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
         observer = Observer("mass", stride, lambda s: mass(s, grid, "norm"))
         model = model_from_config(config, alpha)
-        _, records = _trajectory(config, grid, noise, "midpoint", model, config.noise_seed, [observer])
+        _, records = _trajectory(config, grid, noise, path, "midpoint", model, [observer])
         rows.extend((time, alpha, value) for _, time, value in records["mass"])
     return rows
 
@@ -206,6 +213,14 @@ def _convergence_path_errors(
     return errors
 
 
+def _map_paths(worker, n: int, workers: int) -> list:
+    """``worker(i)`` for every path index i < n, in path order, on ``workers`` processes."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, range(n)))
+    return [worker(i) for i in range(n)]
+
+
 def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     """Strong-convergence study of the splitting scheme on coupled noise paths.
 
@@ -230,15 +245,7 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     _path_steps(config, config.converge_base_dt / 2**config.converge_ref_level)
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
     n_paths = config.converge_n_paths
-    worker = partial(_convergence_path_errors, config=config)
-    per_path = np.empty((n_paths, levels))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for i, errs in enumerate(pool.map(worker, range(n_paths))):
-                per_path[i] = errs
-    else:
-        for i in range(n_paths):
-            per_path[i] = worker(i)
+    per_path = np.array(_map_paths(partial(_convergence_path_errors, config=config), n_paths, config.workers))
 
     errors = per_path.mean(axis=0)
     if n_paths > 1:
@@ -261,8 +268,8 @@ def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
     observer = Observer("energy", config.energy_stride, lambda s: energy(s, grid, model))
-    seed = path_seed(config.noise_seed, index)
-    _, records = _trajectory(config, grid, noise, "midpoint", model, seed, [observer])
+    path = _horizon_path(config, noise, path_seed(config.noise_seed, index))
+    _, records = _trajectory(config, grid, noise, path, "midpoint", model, [observer])
     times = tuple(time for _, time, _ in records["energy"])
     values = np.array([value for _, _, value in records["energy"]])
     return times, values
@@ -270,19 +277,9 @@ def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...
 
 def run_energy_ensemble(config: RunConfig) -> EnsembleReport:
     """Midpoint energy series over an ensemble of independent noise paths."""
-    n_paths = config.energy_n_paths
-    worker = partial(_energy_path_series, config=config)
-    times: tuple[float, ...] | None = None
-    series = []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(worker, range(n_paths)))
-    else:
-        results = [worker(i) for i in range(n_paths)]
-    for t, values in results:
-        times = t if times is None else times
-        series.append(values)
-    per_path = np.vstack(series)
+    results = _map_paths(partial(_energy_path_series, config=config), config.energy_n_paths, config.workers)
+    times = results[0][0]
+    per_path = np.vstack([values for _, values in results])
     per_path.setflags(write=False)
     mean = per_path.mean(axis=0)
     return EnsembleReport(times=times, per_path_energy=per_path, mean_energy=tuple(float(m) for m in mean))

@@ -16,18 +16,14 @@ relative 1.1e-15 at most.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisibilityError, DomainError, IoError, ShapeError
+from .errors import DivisibilityError, DomainError, ShapeError
 from .spectral import GridSpec
 
 _MASK64 = (1 << 64) - 1
-_PATH_HEADER = struct.Struct("<4sIQQQd")  # magic, version, seed, K, steps, dt
-_PATH_MAGIC = b"SFNW"
-_PATH_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -271,38 +267,3 @@ def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec)
         )
     return model.epsilon * (path.increments[n] @ model.mode_profiles)
 
-
-def dump_path(path: WienerPath, destination) -> None:
-    """Write the path as a flat binary file; round-trips bit-exactly."""
-    K = path.increments.shape[1]
-    header = _PATH_HEADER.pack(
-        _PATH_MAGIC, _PATH_VERSION, path.seed & _MASK64, K, path.steps, path.dt
-    )
-    try:
-        with open(destination, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoError(destination, str(exc)) from exc
-
-
-def load_path(source) -> WienerPath:
-    """Read a path written by ``dump_path``."""
-    try:
-        with open(source, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(source, str(exc)) from exc
-    if len(blob) < _PATH_HEADER.size:
-        raise IoError(source, "truncated path file header")
-    magic, version, seed, K, steps, dt = _PATH_HEADER.unpack_from(blob)
-    if magic != _PATH_MAGIC:
-        raise IoError(source, f"bad magic {magic!r}")
-    if version != _PATH_VERSION:
-        raise IoError(source, f"unsupported path file version {version}")
-    expected = _PATH_HEADER.size + steps * K * 8
-    if len(blob) != expected:
-        raise IoError(source, f"expected {expected} bytes, found {len(blob)}")
-    inc = np.frombuffer(blob, dtype="<f8", offset=_PATH_HEADER.size).reshape(steps, K).copy()
-    inc.setflags(write=False)
-    return WienerPath(int(seed), float(dt), int(steps), inc)

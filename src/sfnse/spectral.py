@@ -114,21 +114,21 @@ def operator_symbols(grid: GridSpec, alpha: float) -> OperatorSymbols:
     return OperatorSymbols(alpha, lap, g)
 
 
-def _field_values(field, grid: GridSpec) -> np.ndarray:
-    v = field.values if isinstance(field, ComplexField) else np.asarray(field, dtype=np.complex128)
+def _field_values(v, grid: GridSpec) -> np.ndarray:
+    v = np.asarray(v, dtype=np.complex128)
     if v.shape != (grid.N,):
         raise ShapeError(f"field length {v.shape} does not match grid N={grid.N}")
     return v
 
 
-def transform(field, grid: GridSpec, direction: str = "forward") -> np.ndarray:
+def transform(v, grid: GridSpec, direction: str = "forward") -> np.ndarray:
     """Discrete Fourier transform with the interpolation normalization.
 
     Forward returns the coefficients u~_k = (1/N) sum_j u_j exp(-i k mu (x_j - a))
     in DFT ordering; inverse is its exact inverse, so a round trip is the
-    identity to roundoff.  Accepts a ComplexField or a plain length-N array.
+    identity to roundoff.  Takes and returns length-N arrays.
     """
-    v = _field_values(field, grid)
+    v = _field_values(v, grid)
     if direction == "forward":
         return np.fft.fft(v) / grid.N
     if direction == "inverse":
@@ -136,30 +136,27 @@ def transform(field, grid: GridSpec, direction: str = "forward") -> np.ndarray:
     raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def apply_frac_laplacian(field: ComplexField, grid: GridSpec, alpha: float) -> ComplexField:
+def apply_frac_laplacian(v, grid: GridSpec, alpha: float) -> np.ndarray:
     """Apply the positive fractional Laplacian, multiplier +|k*mu|^(2*alpha).
 
-    Sign conventions are left to the callers: time-stepping schemes apply
-    their own signs to this positive operator.
+    Takes and returns length-N arrays.  Sign conventions are left to the
+    callers: time-stepping schemes apply their own signs to this positive
+    operator.
     """
     sym = operator_symbols(grid, alpha)
-    v = _field_values(field, grid)
-    out = np.fft.ifft(np.fft.fft(v) * sym.lap_symbol)
-    return ComplexField(out, time=field.time if isinstance(field, ComplexField) else 0.0)
+    return np.fft.ifft(np.fft.fft(_field_values(v, grid)) * sym.lap_symbol)
 
 
-def apply_g_operator(field: ComplexField, grid: GridSpec, alpha: float) -> ComplexField:
+def apply_g_operator(v, grid: GridSpec, alpha: float) -> np.ndarray:
     """Apply the skew-adjoint square root of the negative fractional Laplacian.
 
     Mode k is multiplied by i*k*mu*|k*mu|^(alpha-1); the Nyquist bin maps to
     zero because its two half-weight images cancel for this odd symbol.
     Applying the operator twice equals the negated fractional Laplacian on
-    every Nyquist-free field.
+    every Nyquist-free array.  Takes and returns length-N arrays.
     """
     sym = operator_symbols(grid, alpha)
-    v = _field_values(field, grid)
-    out = np.fft.ifft(np.fft.fft(v) * sym.g_symbol)
-    return ComplexField(out, time=field.time if isinstance(field, ComplexField) else 0.0)
+    return np.fft.ifft(np.fft.fft(_field_values(v, grid)) * sym.g_symbol)
 
 
 def materialize_operator(grid: GridSpec, alpha: float, which: str) -> np.ndarray:

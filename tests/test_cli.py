@@ -118,8 +118,11 @@ class TestSubcommands:
 
 class TestExitCodes:
     def test_bad_config_value(self, tmp_path, capsys):
-        assert run_cli(["mass-table"], tmp_path, "model.alpha = 1.5") == 1
-        assert "model.alpha" in capsys.readouterr().err
+        # a sample interval whose step count overflows a float
+        overflow = FAST_MASS.replace("mass.sample_dt = 0.1", "mass.sample_dt = 1e300\nscheme.dt = 1e-10")
+        for text, key in (("model.alpha = 1.5", "model.alpha"), (overflow, "mass.sample_dt")):
+            assert run_cli(["mass-table"], tmp_path, text) == 1
+            assert key in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path, capsys):
         assert run_cli(["mass-table"], tmp_path, "model.alhpa = 0.5") == 1

@@ -28,14 +28,14 @@ model.alpha = 0.75   # trailing comment
 
 model.sigma = 0
 horizon.T = 0.4
-scheme.splitting_nonlinear = true
+scheme.integrator = splitting
 mass.alphas = 0.5, 0.75
 """
         )
         assert config.alpha == 0.75
         assert config.sigma == 0.0
         assert config.horizon_t == 0.4
-        assert config.splitting_nonlinear is True
+        assert config.integrator == "splitting"
         assert config.mass_alphas == (0.5, 0.75)
 
     def test_table2_style_config(self):

@@ -14,13 +14,7 @@ from sfnse.dynamics import (
     midpoint_step,
     splitting_step,
 )
-from sfnse.errors import (
-    ConfigError,
-    DomainError,
-    NonConvergence,
-    ShapeError,
-    UnsupportedNonlinearity,
-)
+from sfnse.errors import ConfigError, DomainError, NonConvergence, ShapeError
 from sfnse.noise import WienerPath, build_noise_model, increment_field, sample_wiener_path
 from sfnse.spectral import ComplexField, build_grid, operator_symbols
 
@@ -32,11 +26,19 @@ def small_grid(N=16):
 def random_state(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    return ComplexField(scale * v)
+    return scale * v
+
+
+def l2(a, b, grid):
+    return l2_error(ComplexField(a), ComplexField(b), grid)
+
+
+def mass2(v, grid):
+    return mass(ComplexField(v), grid, "squared")
 
 
 def reference_flow(state, model, grid, t_end, rtol=1e-12, atol=1e-13):
-    """High-accuracy deterministic reference: stacked-real ODE solve."""
+    """High-accuracy deterministic reference on arrays: stacked-real ODE solve."""
     lap = operator_symbols(grid, model.alpha).lap_symbol
     N = grid.N
 
@@ -46,10 +48,10 @@ def reference_flow(state, model, grid, t_end, rtol=1e-12, atol=1e-13):
         du = -1j * (np.fft.ifft(np.fft.fft(u) * lap) + nl)
         return np.concatenate([du.real, du.imag])
 
-    y0 = np.concatenate([state.values.real, state.values.imag])
+    y0 = np.concatenate([state.real, state.imag])
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol)
     y = sol.y[:, -1]
-    return ComplexField(y[:N] + 1j * y[N:], time=state.time + t_end)
+    return y[:N] + 1j * y[N:]
 
 
 class TestModelParams:
@@ -93,8 +95,8 @@ class TestMidpoint:
         lap = operator_symbols(grid, 0.75).lap_symbol
         cayley = (2.0 - 1j * scheme.dt * lap) / (2.0 + 1j * scheme.dt * lap)
         assert np.max(np.abs(np.abs(cayley) - 1.0)) <= 1e-14
-        expect = np.fft.ifft(cayley * np.fft.fft(state.values))
-        assert np.max(np.abs(out.values - expect)) < 1e-12
+        expect = np.fft.ifft(cayley * np.fft.fft(state))
+        assert np.max(np.abs(out - expect)) < 1e-12
 
     @pytest.mark.parametrize("lam", [1.0, -1.0])
     def test_one_step_agrees_with_reference(self, lam):
@@ -105,7 +107,7 @@ class TestMidpoint:
         for dt in (0.02, 0.01):
             out = midpoint_step(state, np.zeros(grid.N), model, SchemeParams(dt=dt), grid)
             ref = reference_flow(state, model, grid, dt)
-            errs.append(l2_error(out, ref, grid))
+            errs.append(l2(out, ref, grid))
         assert errs[0] < 5e-4
         # local error is O(dt^3): halving dt shrinks it by ~8; demand at least O(dt^2)
         assert errs[0] / errs[1] > 3.5
@@ -120,7 +122,7 @@ class TestMidpoint:
             s = state
             for _ in range(round(0.2 / dt)):
                 s = midpoint_step(s, np.zeros(grid.N), model, SchemeParams(dt=dt), grid)
-            errs.append(l2_error(s, ref, grid))
+            errs.append(l2(s, ref, grid))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
 
@@ -138,17 +140,15 @@ class TestMidpoint:
         for n in range(20):
             dW = increment_field(path, n, noise, grid)
             nxt = midpoint_step(state, dW, model, scheme, grid)
-            drift = abs(mass(nxt, grid, "squared") - mass(state, grid, "squared"))
+            drift = abs(mass2(nxt, grid) - mass2(state, grid))
             assert drift <= 100 * scheme.fp_tol
             state = nxt
 
     def test_zero_field_is_fixed_point(self):
         grid = small_grid()
         model = ModelParams(alpha=0.75, lam=-1.0, sigma=1.0)
-        out = midpoint_step(
-            ComplexField(np.zeros(grid.N, complex)), np.zeros(grid.N), model, SchemeParams(dt=0.01), grid
-        )
-        assert np.all(out.values == 0.0)
+        out = midpoint_step(np.zeros(grid.N, complex), np.zeros(grid.N), model, SchemeParams(dt=0.01), grid)
+        assert np.all(out == 0.0)
 
     def test_dt_zero_returns_state(self):
         grid = small_grid()
@@ -171,8 +171,10 @@ class TestMidpoint:
     def test_shape_checks(self):
         grid = small_grid()
         state = random_state(grid, 7)
-        with pytest.raises(ShapeError):
-            midpoint_step(state, np.zeros(grid.N - 1), ModelParams(0.75, 0.0, 0.0), SchemeParams(0.01), grid)
+        for v, dW in ((state, np.zeros(grid.N - 1)), (state[:-2], np.zeros(grid.N))):
+            for step in (midpoint_step, splitting_step):
+                with pytest.raises(ShapeError):
+                    step(v, dW, ModelParams(0.75, 0.0, 0.0), SchemeParams(0.01), grid)
 
 
 class TestSplitting:
@@ -186,16 +188,16 @@ class TestSplitting:
             s = splitting_step(s, np.zeros(grid.N), model, scheme, grid)
         t = 50 * 0.02
         lap = operator_symbols(grid, 0.6).lap_symbol
-        exact = np.fft.ifft(np.fft.fft(state.values) * np.exp(-1j * t * lap)) * np.exp(-1j * t)
-        assert np.max(np.abs(s.values - exact)) < 1e-12
+        exact = np.fft.ifft(np.fft.fft(state) * np.exp(-1j * t * lap)) * np.exp(-1j * t)
+        assert np.max(np.abs(s - exact)) < 1e-12
 
     def test_pure_linear_flow_preserves_mode_magnitudes(self):
         grid = small_grid()
         state = random_state(grid, 9)
         model = ModelParams(alpha=0.9, lam=0.0, sigma=0.0)
         out = splitting_step(state, np.zeros(grid.N), model, SchemeParams(dt=0.1), grid)
-        before = np.abs(np.fft.fft(state.values))
-        after = np.abs(np.fft.fft(out.values))
+        before = np.abs(np.fft.fft(state))
+        after = np.abs(np.fft.fft(out))
         assert np.max(np.abs(after - before)) < 1e-12 * np.max(before)
 
     def test_single_step_mass_exact(self):
@@ -205,20 +207,28 @@ class TestSplitting:
         rng = np.random.default_rng(11)
         dW = 0.3 * rng.standard_normal(grid.N)
         out = splitting_step(state, dW, model, SchemeParams(dt=0.01), grid)
-        m0 = mass(state, grid, "squared")
-        assert abs(mass(out, grid, "squared") - m0) <= 1e-13 * m0
+        m0 = mass2(state, grid)
+        assert abs(mass2(out, grid) - m0) <= 1e-13 * m0
 
-    def test_sigma_requires_extension_flag(self):
+    def test_sigma_positive_conserves_mass(self):
         grid = small_grid()
         state = random_state(grid, 12)
         model = ModelParams(alpha=0.75, lam=1.0, sigma=1.0)
-        with pytest.raises(UnsupportedNonlinearity):
-            splitting_step(state, np.zeros(grid.N), model, SchemeParams(dt=0.01), grid)
-        out = splitting_step(
-            state, np.zeros(grid.N), model, SchemeParams(dt=0.01, splitting_nonlinear=True), grid
-        )
-        m0 = mass(state, grid, "squared")
-        assert abs(mass(out, grid, "squared") - m0) <= 1e-13 * m0
+        out = splitting_step(state, np.zeros(grid.N), model, SchemeParams(dt=0.01), grid)
+        m0 = mass2(state, grid)
+        assert abs(mass2(out, grid) - m0) <= 1e-13 * m0
+
+    def test_sigma_zero_phase_matches_general_phase(self):
+        # the sigma = 0 branch skips |u|^0; it must give the general formula's bytes
+        grid = small_grid()
+        state = random_state(grid, 22)
+        model = ModelParams(alpha=0.75, lam=-1.0, sigma=0.0)
+        dW = 0.1 * np.random.default_rng(23).standard_normal(grid.N)
+        dt = 0.01
+        phase = np.exp(-1j * (dt * model.lam * np.abs(state) ** 0.0 + dW))
+        linear = np.exp(-1j * dt * operator_symbols(grid, 0.75).lap_symbol)
+        general = np.fft.ifft(np.fft.fft(state * phase) * linear)
+        assert np.array_equal(splitting_step(state, dW, model, SchemeParams(dt=dt), grid), general)
 
     def test_nonlinear_extension_consistent_with_midpoint(self):
         # both schemes approximate the same flow; errors must shrink together
@@ -229,10 +239,10 @@ class TestSplitting:
         errs = []
         for dt in (0.01, 0.005):
             s = state
-            scheme = SchemeParams(dt=dt, splitting_nonlinear=True)
+            scheme = SchemeParams(dt=dt)
             for _ in range(round(0.1 / dt)):
                 s = splitting_step(s, np.zeros(grid.N), model, scheme, grid)
-            errs.append(l2_error(s, ref, grid))
+            errs.append(l2(s, ref, grid))
         order = math.log2(errs[0] / errs[1])
         assert order >= 0.8
 
@@ -255,14 +265,14 @@ class TestEvolve:
     def test_zero_steps_returns_initial(self):
         grid, model, scheme, noise, _ = self._setup()
         empty = WienerPath(seed=0, dt=scheme.dt, steps=0, increments=np.empty((0, 4)))
-        initial = random_state(grid, 15)
+        initial = ComplexField(random_state(grid, 15))
         final, records = evolve(initial, "splitting", model, scheme, grid, empty, noise)
         assert final is initial
         assert records == {}
 
     def test_splitting_mass_series_constant(self):
         grid, model, scheme, noise, path = self._setup(steps=1000)
-        initial = random_state(grid, 16)
+        initial = ComplexField(random_state(grid, 16))
         obs = Observer("mass", 100, lambda s: mass(s, grid, "norm"))
         _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
         values = [v for _, _, v in records["mass"]]
@@ -272,7 +282,7 @@ class TestEvolve:
     def test_observer_stride_and_times(self):
         grid, model, scheme, noise, path = self._setup(steps=10)
         obs = Observer("m", 3, lambda s: mass(s, grid))
-        _, records = evolve(random_state(grid, 17), "midpoint", model, scheme, grid, path, noise, [obs])
+        _, records = evolve(ComplexField(random_state(grid, 17)), "midpoint", model, scheme, grid, path, noise, [obs])
         steps = [n for n, _, _ in records["m"]]
         assert steps == [0, 3, 6, 9]
         times = [t for _, t, _ in records["m"]]
@@ -286,7 +296,7 @@ class TestEvolve:
         bad_model = ModelParams(alpha=0.9, lam=-1.0, sigma=2.0)
         bad_scheme = SchemeParams(dt=5.0, fp_max_iter=5)
         bad_path = sample_wiener_path(noise, 5, 5.0, seed=3)
-        big = ComplexField(3.0 * random_state(grid, 18).values)
+        big = ComplexField(3.0 * random_state(grid, 18))
         with pytest.raises(NonConvergence) as info:
             evolve(big, "midpoint", bad_model, bad_scheme, grid, bad_path, noise)
         assert info.value.step == 0
@@ -294,13 +304,41 @@ class TestEvolve:
     def test_dt_mismatch_rejected(self):
         grid, model, scheme, noise, path = self._setup()
         with pytest.raises(ConfigError):
-            evolve(random_state(grid, 19), "midpoint", model, SchemeParams(dt=0.02), grid, path, noise)
+            evolve(ComplexField(random_state(grid, 19)), "midpoint", model, SchemeParams(dt=0.02), grid, path, noise)
 
     def test_unknown_integrator(self):
         grid, model, scheme, noise, path = self._setup()
         for integrator in ("leapfrog", splitting_step):
             with pytest.raises(DomainError):
-                evolve(random_state(grid, 20), integrator, model, scheme, grid, path, noise)
+                evolve(ComplexField(random_state(grid, 20)), integrator, model, scheme, grid, path, noise)
+
+    def test_fields_built_only_where_observed(self, monkeypatch):
+        grid, model, scheme, noise, path = self._setup(steps=10)
+        initial = ComplexField(random_state(grid, 24))
+        v, t = initial.values, initial.time
+        for n in range(path.steps):
+            v = splitting_step(v, increment_field(path, n, noise, grid), model, scheme, grid)
+            t = t + scheme.dt
+        built = []
+        field_init = ComplexField.__init__
+
+        def counted_init(field, *args, **kwargs):
+            built.append(field)
+            field_init(field, *args, **kwargs)
+
+        monkeypatch.setattr(ComplexField, "__init__", counted_init)
+        for stride in (3, 5):  # the last step is observed only at stride 5
+            built.clear()
+            seen = []
+            obs = Observer("seen", stride, seen.append)
+            final, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
+            fired = len(records["seen"]) - 1  # the step-0 record observes ``initial`` itself
+            last_unobserved = path.steps % stride != 0
+            assert len(built) == fired + last_unobserved
+            assert seen[0] is initial
+            assert [id(s) for s in seen[1:]] == [id(b) for b in built[:fired]]
+            assert (final is seen[-1]) != last_unobserved
+            assert np.array_equal(final.values, v) and final.time == t
 
     def test_one_increment_field_and_one_step_per_step(self, monkeypatch):
         grid, model, scheme, noise, path = self._setup(steps=3)
@@ -318,5 +356,5 @@ class TestEvolve:
             step = dynamics._STEPPERS[integrator]
             monkeypatch.setitem(dynamics._STEPPERS, integrator, counted(integrator, step))
             calls.clear()
-            evolve(random_state(grid, 21), integrator, model, scheme, grid, path, noise)
+            evolve(ComplexField(random_state(grid, 21)), integrator, model, scheme, grid, path, noise)
             assert calls == ["field", integrator] * 3

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sfnse import experiments
 from sfnse.cli import main
 from sfnse.config import parse_config
 from sfnse.errors import ConfigError
@@ -15,6 +16,7 @@ from sfnse.experiments import (
     run_mass_table,
     sech_carrier_initial,
 )
+from sfnse.noise import sample_wiener_path
 from sfnse.output import read_snapshot
 
 
@@ -42,7 +44,14 @@ noise.seed = 4242
 
 
 class TestMassTable:
-    def test_small_run_conserves_and_is_reproducible(self):
+    def test_small_run_conserves_and_is_reproducible(self, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return sample_wiener_path(*args)
+
+        monkeypatch.setattr(experiments, "sample_wiener_path", counted)
         config = parse_config(
             """
 grid.N = 64
@@ -54,6 +63,7 @@ noise.K = 10
 """
         )
         rows = run_mass_table(config)
+        assert len(draws) == 1  # one path serves every alpha
         assert len(rows) == 2 * 3  # two alphas, t in {0, 0.1, 0.2}
         by_alpha = {}
         for time, alpha, value in rows:

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sfnse.errors import DivisibilityError, DomainError, IoError, ShapeError
+from sfnse.errors import DivisibilityError, DomainError, ShapeError
 from sfnse.noise import (
     WienerPath,
     _normal_from_raw,
     _philox,
     build_noise_model,
     coarsen_path,
-    dump_path,
     increment_entry,
     increment_field,
-    load_path,
     sample_wiener_path,
 )
 from sfnse.spectral import build_grid
@@ -233,30 +231,6 @@ class TestIncrementField:
         path = sample_wiener_path(model, 3, 0.1, seed=15)
         with pytest.raises(ShapeError):
             increment_field(path, 0, model, other)
-
-
-class TestPathFiles:
-    def test_roundtrip_bit_exact(self, grid, tmp_path):
-        model = build_noise_model(6, grid)
-        path = sample_wiener_path(model, 12, 0.01, seed=31415)
-        target = tmp_path / "path.sfnw"
-        dump_path(path, target)
-        loaded = load_path(target)
-        assert loaded.seed == path.seed
-        assert loaded.dt == path.dt
-        assert loaded.steps == path.steps
-        assert np.array_equal(loaded.increments, path.increments)
-        second = tmp_path / "again.sfnw"
-        dump_path(loaded, second)
-        assert target.read_bytes() == second.read_bytes()
-
-    def test_detects_corruption(self, tmp_path):
-        target = tmp_path / "bad.sfnw"
-        target.write_bytes(b"nope")
-        with pytest.raises(IoError):
-            load_path(target)
-        with pytest.raises(IoError):
-            load_path(tmp_path / "missing.sfnw")
 
 
 def test_empty_path_constructible_for_degenerate_evolutions():
