@@ -122,14 +122,11 @@ def _cmd_evolve(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     grid, final, records = experiments.run_evolution(config)
-    rows = [
-        (rec.time, rec.mass, rec.energy, rec.max_amplitude)
-        for _, _, rec in records["diag"]
-    ]
+    rows = [(t, rec.mass, rec.energy, rec.max_amplitude) for _, t, rec in records["diag"]]
     write_csv(out / "evolve_diagnostics.csv", ["time", "mass", "energy", "max_amplitude"], rows)
-    for step, _, state in records.get("snap", []):
-        write_snapshot(out / f"snapshot_{step:06d}.sfns", state, grid)
-    _say(args, f"evolved to t={final.time:.6g}; mass={mass(final, grid):.12g}")
+    for step, t, v in records.get("snap", []):
+        write_snapshot(out / f"snapshot_{step:06d}.sfns", ComplexField(v, time=t), grid)
+    _say(args, f"evolved to t={final.time:.6g}; mass={mass(final.values, grid):.12g}")
     _say(args, f"wrote {out / 'evolve_diagnostics.csv'}")
     return 0
 
@@ -220,12 +217,12 @@ def _selftest_checks():
         noise = build_noise_model(8, grid, epsilon=0.01)
         path = sample_wiener_path(noise, 100, 0.01, seed=11)
         v = 1.0 / np.cosh(grid.nodes() - np.pi) + 0j
-        m0 = mass(ComplexField(v), grid, "squared")
+        m0 = mass(v, grid, "squared")
         from .noise import increment_field
 
         for n in range(100):
             v = splitting_step(v, increment_field(path, n, noise, grid), model, SchemeParams(0.01), grid)
-        assert abs(mass(ComplexField(v), grid, "squared") - m0) < 1e-12 * m0
+        assert abs(mass(v, grid, "squared") - m0) < 1e-12 * m0
 
     def check_coarsen():
         noise = build_noise_model(4, grid, epsilon=1.0)

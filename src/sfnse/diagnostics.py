@@ -4,7 +4,8 @@ Mass uses the rectangle rule h * sum |u_j|^2 on the periodic grid; energy
 evaluates its fractional kinetic term spectrally through the Parseval
 identity.  The symplecticity check differentiates a one-step map with frozen
 noise by central finite differences and measures how far the Jacobian is
-from preserving the canonical two-form on (Re u, Im u).
+from preserving the canonical two-form on (Re u, Im u).  Every function
+takes states as length-N complex arrays.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeError, DomainError
-from .spectral import ComplexField, GridSpec, operator_symbols
+from .errors import SizeError, DomainError
+from .spectral import GridSpec, _field_values, operator_symbols
 from .dynamics import ModelParams, SchemeParams
 
 SYMPLECTIC_N_MAX = 32  # dense 2N x 2N Jacobian guard
@@ -23,20 +24,19 @@ SYMPLECTIC_N_MAX = 32  # dense 2N x 2N Jacobian guard
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One row of trajectory diagnostics."""
+    """One row of trajectory diagnostics; the time is in the observer record."""
 
-    time: float
     mass: float
     energy: float
     max_amplitude: float
 
 
-def mass(state: ComplexField, grid: GridSpec, mode: str = "norm") -> float:
+def mass(v, grid: GridSpec, mode: str = "norm") -> float:
     """Discrete mass h * sum_j |u_j|^2 ("squared") or its square root ("norm").
 
     The default is the norm form, which is what conservation tables report.
     """
-    m2 = grid.h * float(np.sum(np.abs(state.values) ** 2))
+    m2 = grid.h * float(np.sum(np.abs(_field_values(v, grid)) ** 2))
     if mode == "squared":
         return m2
     if mode == "norm":
@@ -44,15 +44,13 @@ def mass(state: ComplexField, grid: GridSpec, mode: str = "norm") -> float:
     raise DomainError(f"mass mode must be 'squared' or 'norm', got {mode!r}")
 
 
-def energy(state: ComplexField, grid: GridSpec, model: ModelParams) -> float:
+def energy(v, grid: GridSpec, model: ModelParams) -> float:
     """Discrete energy: spectral fractional kinetic term plus power potential.
 
     H = (b-a)/2 * sum_k |k mu|^(2 alpha) |u~_k|^2
         + lam/(2 sigma + 2) * h * sum_j |u_j|^(2 sigma + 2)
     """
-    v = state.values
-    if v.shape != (grid.N,):
-        raise ShapeError(f"state length {v.shape} does not match grid N={grid.N}")
+    v = _field_values(v, grid)
     coeffs = np.fft.fft(v) / grid.N
     lap = operator_symbols(grid, model.alpha).lap_symbol
     kinetic = 0.5 * (grid.b - grid.a) * float(np.sum(lap * np.abs(coeffs) ** 2))
@@ -65,29 +63,25 @@ def energy(state: ComplexField, grid: GridSpec, model: ModelParams) -> float:
     return kinetic + potential
 
 
-def l2_error(a: ComplexField, b: ComplexField, grid: GridSpec) -> float:
+def l2_error(a, b, grid: GridSpec) -> float:
     """Discrete l2 distance sqrt(h * sum_j |a_j - b_j|^2)."""
-    va, vb = a.values, b.values
-    if va.shape != vb.shape:
-        raise ShapeError(f"field lengths differ: {va.shape} vs {vb.shape}")
-    if va.shape != (grid.N,):
-        raise ShapeError(f"field length {va.shape} does not match grid N={grid.N}")
+    va, vb = _field_values(a, grid), _field_values(b, grid)
     return math.sqrt(grid.h * float(np.sum(np.abs(va - vb) ** 2)))
 
 
-def record_diagnostics(state: ComplexField, grid: GridSpec, model: ModelParams) -> DiagnosticsRecord:
+def record_diagnostics(v, grid: GridSpec, model: ModelParams) -> DiagnosticsRecord:
     """Bundle the standard per-snapshot diagnostics (mass in its norm form)."""
+    v = _field_values(v, grid)
     return DiagnosticsRecord(
-        time=state.time,
-        mass=mass(state, grid),
-        energy=energy(state, grid, model),
-        max_amplitude=float(np.max(np.abs(state.values))),
+        mass=mass(v, grid),
+        energy=energy(v, grid, model),
+        max_amplitude=float(np.max(np.abs(v))),
     )
 
 
 def symplectic_defect(
     stepper,
-    state: ComplexField,
+    v,
     dW,
     model: ModelParams,
     scheme: SchemeParams,
@@ -115,7 +109,8 @@ def symplectic_defect(
         out = stepper(x[:N] + 1j * x[N:], dW, model, scheme, grid)
         return np.concatenate([out.real, out.imag])
 
-    x0 = np.concatenate([state.values.real, state.values.imag])
+    v = _field_values(v, grid)
+    x0 = np.concatenate([v.real, v.imag])
     J = np.empty((2 * N, 2 * N))
     for i in range(2 * N):
         xp = x0.copy()

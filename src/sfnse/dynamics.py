@@ -5,8 +5,8 @@ fixed-point iteration with the stiff linear part inverted exactly per Fourier
 mode, and an explicit splitting scheme alternating the exact phase/noise flow
 with the exact linear spectral flow.  The midpoint rule consumes Stratonovich
 increments directly (no Ito correction).  Both steps map a length-N array to
-a length-N array; ``evolve`` wraps states in ``ComplexField`` only where
-observers see them and for the returned final state.
+a length-N array, and ``evolve`` hands its observers the same arrays; the
+only ``ComplexField`` it builds is the returned final state.
 """
 
 from __future__ import annotations
@@ -196,11 +196,11 @@ def splitting_step(
 
 @dataclass(frozen=True)
 class Observer:
-    """Named trajectory probe evaluated at step 0 and after every stride-th step."""
+    """Named probe of the (read-only) state array at step 0 and after every stride-th step."""
 
     name: str
     stride: int
-    fn: Callable[[ComplexField], Any]
+    fn: Callable[[np.ndarray], Any]
 
     def __post_init__(self) -> None:
         if self.stride < 1:
@@ -229,10 +229,8 @@ def evolve(
     value) tuples in step order.  Step failures are re-raised with the
     failing step index attached.
 
-    The steps run on plain arrays.  A ``ComplexField`` is built only for a
-    step where some observer fires (all observers of that step share it)
-    and for the final state, which is that same field when an observer
-    fired on the last step, and ``initial`` itself for a path of no steps.
+    The steps and the observers see plain length-N arrays.  The one
+    ``ComplexField`` built is the returned final state, which checks it once.
     """
     try:
         step_fn = _STEPPERS[integrator]
@@ -244,8 +242,7 @@ def evolve(
     v, t = initial.values, initial.time
     records: dict[str, list[tuple[int, float, Any]]] = {obs.name: [] for obs in observers}
     for obs in observers:
-        records[obs.name].append((0, t, obs.fn(initial)))
-    state, state_step = initial, 0
+        records[obs.name].append((0, t, obs.fn(v)))
     for n in range(path.steps):
         dW = increment_field(path, n, noise, grid)
         try:
@@ -254,11 +251,7 @@ def evolve(
             exc.step = n
             raise
         t = t + scheme.dt
-        due = [obs for obs in observers if (n + 1) % obs.stride == 0]
-        if due:
-            state, state_step = ComplexField(v, time=t), n + 1
-            for obs in due:
-                records[obs.name].append((n + 1, t, obs.fn(state)))
-    if state_step != path.steps:
-        state = ComplexField(v, time=t)
-    return state, records
+        for obs in observers:
+            if (n + 1) % obs.stride == 0:
+                records[obs.name].append((n + 1, t, obs.fn(v)))
+    return ComplexField(v, time=t), records

@@ -26,7 +26,7 @@ from .errors import ConfigError, SizeError
 from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
 
-MAX_TABLE_ENTRIES = 2**25  # steps x K of one increment table: 256 MiB of float64
+MAX_TABLE_ENTRIES = 2**25  # steps x K increments or K x N mode profiles: 256 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,11 @@ def scheme_from_config(config: RunConfig, dt: float | None = None) -> SchemePara
 
 
 def _grid_and_noise(config: RunConfig) -> tuple[GridSpec, NoiseModel]:
+    if config.noise_k * config.grid_n > MAX_TABLE_ENTRIES:
+        raise SizeError(
+            f"noise.K: K={config.noise_k} modes on N={config.grid_n} nodes "
+            f"need a profile table above {MAX_TABLE_ENTRIES} entries"
+        )
     grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
     noise = build_noise_model(config.noise_k, grid, epsilon=config.epsilon, profile=config.noise_profile)
     return grid, noise
@@ -141,8 +146,8 @@ def run_evolution(
 
     Records come back as from ``evolve``: "diag" holds a DiagnosticsRecord
     every ``diagnostics_stride`` steps and, unless ``snapshot_stride`` is 0,
-    "snap" holds the state every ``snapshot_stride`` steps.  Returns the grid,
-    the final state and the records.
+    "snap" holds the state array every ``snapshot_stride`` steps.  Returns the
+    grid, the final state and the records.
     """
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
@@ -241,8 +246,15 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
             f"reference level {config.converge_ref_level} must be strictly finer than "
             f"the finest test level {levels - 1}"
         )
+    # base_dt / 2**ref_level without forming 2**ref_level, which can be past any float
+    fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
+    if fine_dt == 0.0:
+        raise ConfigError(
+            f"converge.ref_level: base_dt={config.converge_base_dt} halved "
+            f"{config.converge_ref_level} times underflows a float"
+        )
     # the finest table is the largest: refuse it here, before paths fan out
-    _path_steps(config, config.converge_base_dt / 2**config.converge_ref_level)
+    _path_steps(config, fine_dt)
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
     n_paths = config.converge_n_paths
     per_path = np.array(_map_paths(partial(_convergence_path_errors, config=config), n_paths, config.workers))

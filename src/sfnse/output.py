@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, IoError
-from .spectral import ComplexField, GridSpec
+from .spectral import ComplexField, GridSpec, _field_values
 
 _SNAP_HEADER = struct.Struct("<4sIddId")  # magic, version, a, b, N, time
 _SNAP_MAGIC = b"SFNS"
@@ -44,12 +44,9 @@ def write_csv(destination, header, rows) -> None:
 
 def write_snapshot(destination, field: ComplexField, grid: GridSpec) -> None:
     """Write one field snapshot in the binary snapshot format."""
-    if field.values.shape != (grid.N,):
-        raise DomainError(
-            f"snapshot field length {field.values.shape} does not match grid N={grid.N}"
-        )
+    values = _field_values(field.values, grid)
     header = _SNAP_HEADER.pack(_SNAP_MAGIC, _SNAP_VERSION, grid.a, grid.b, grid.N, field.time)
-    payload = np.ascontiguousarray(field.values, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
     try:
         with open(destination, "wb") as fh:
             fh.write(header)
@@ -59,7 +56,10 @@ def write_snapshot(destination, field: ComplexField, grid: GridSpec) -> None:
 
 
 def read_snapshot(source) -> tuple[GridSpec, ComplexField]:
-    """Read a snapshot written by ``write_snapshot``; exact inverse."""
+    """Read a snapshot written by ``write_snapshot``; exact inverse.
+
+    Any unreadable or malformed file raises IoError naming ``source``.
+    """
     try:
         blob = Path(source).read_bytes()
     except OSError as exc:
@@ -75,5 +75,7 @@ def read_snapshot(source) -> tuple[GridSpec, ComplexField]:
     if len(blob) != expected:
         raise IoError(source, f"expected {expected} bytes, found {len(blob)}")
     values = np.frombuffer(blob, dtype="<c16", offset=_SNAP_HEADER.size).copy()
-    grid = GridSpec(a, b, n)
-    return grid, ComplexField(values, time=time)
+    try:
+        return GridSpec(a, b, n), ComplexField(values, time=time)
+    except DomainError as exc:  # a grid or payload no writer produces
+        raise IoError(source, str(exc)) from exc

@@ -31,7 +31,6 @@ from sfnse.experiments import (
 from sfnse.noise import build_noise_model, coarsen_path, sample_wiener_path
 from sfnse.output import write_csv
 from sfnse.spectral import (
-    ComplexField,
     apply_frac_laplacian,
     apply_g_operator,
     build_grid,
@@ -144,11 +143,11 @@ def test_criterion_3_splitting_mass():
     grid4 = build_grid(-20.0, 20.0, 400)
     noise4 = build_noise_model(100, grid4, epsilon=0.01)
     path4 = sample_wiener_path(noise4, 200, scheme.dt, seed=654)
-    state = sech_carrier_initial(grid4)
+    state = sech_carrier_initial(grid4).values
     from sfnse.noise import increment_field
 
     for n in range(200):
-        nxt = ComplexField(splitting_step(state.values, increment_field(path4, n, noise4, grid4), model, scheme, grid4))
+        nxt = splitting_step(state, increment_field(path4, n, noise4, grid4), model, scheme, grid4)
         drift = abs(mass(nxt, grid4, "squared") - mass(state, grid4, "squared"))
         assert drift <= 1e-13 * mass(state, grid4, "squared")
         state = nxt
@@ -186,9 +185,7 @@ def test_criterion_5_symplectic_defect():
     for alpha in (0.6, 0.9):
         for sigma in (0.0, 1.0):
             for rep in range(5):
-                state = ComplexField(
-                    0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-                )
+                state = 0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
                 dW = 0.1 * rng.standard_normal(8)
                 model = ModelParams(alpha=alpha, lam=-1.0, sigma=sigma, epsilon=1.0)
                 scheme = SchemeParams(dt=0.02)
@@ -201,7 +198,7 @@ def test_criterion_5_symplectic_defect():
 
     linear = symplectic_defect(
         midpoint_step,
-        ComplexField(0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))),
+        0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)),
         np.zeros(8),
         ModelParams(alpha=0.75, lam=0.0, sigma=0.0, epsilon=0.0),
         SchemeParams(dt=0.02),
@@ -212,7 +209,7 @@ def test_criterion_5_symplectic_defect():
 
     frozen = symplectic_defect(
         splitting_step,
-        ComplexField(0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))),
+        0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)),
         0.1 * rng.standard_normal(8),
         ModelParams(alpha=0.75, lam=-1.0, sigma=0.0, epsilon=1.0),
         SchemeParams(dt=0.02),
@@ -350,7 +347,7 @@ def test_criterion_10_field_smoke():
         path = sample_wiener_path(noise, 1000, scheme.dt, seed=1618)
         initial = sech_carrier_initial(grid)
         peak0 = float(np.max(np.abs(initial.values)))
-        obs = Observer("amp", 1, lambda s: float(np.max(np.abs(s.values))))
+        obs = Observer("amp", 1, lambda s: float(np.max(np.abs(s))))
         final, records = evolve(initial, "midpoint", model, scheme, grid, path, noise, [obs])
         amps = [v for _, _, v in records["amp"]]
         assert np.all(np.isfinite(final.values))

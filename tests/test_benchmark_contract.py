@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` wraps every public sfnse function by name, counts
 one ``splitting_step``/``midpoint_step`` and one ``increment_field`` call per
-path-step, and re-runs sampled midpoint steps with their positional
-arguments.  These tests run tiny studies under that tracer, unchanged.
+path-step, counts ``ComplexField`` constructions, and re-runs sampled
+midpoint steps with their positional arguments.  These tests run tiny
+studies under that tracer, unchanged.
 """
 
 import importlib.util
@@ -52,22 +53,25 @@ def traced_metrics(argv):
 
 
 @pytest.mark.parametrize(
-    "command, text, steps",
+    "command, text, steps, fields",
     [
-        # horizon.T = 0.1 at scheme.dt = 0.01
-        ("evolve", EVOLVE + "scheme.integrator = splitting\n", 10),
-        ("evolve", EVOLVE, 10),
-        # 2 paths x (reference 0.1 / (0.01 / 2^4) + levels 10 + 20 + 40)
-        ("converge", CONVERGE, 2 * (160 + 10 + 20 + 40)),
+        # horizon.T = 0.1 at scheme.dt = 0.01; fields: the initial state, the
+        # final state and the snapshots of steps 0, 5 and 10
+        ("evolve", EVOLVE + "scheme.integrator = splitting\n", 10, 1 + 1 + 3),
+        ("evolve", EVOLVE, 10, 1 + 1 + 3),
+        # 2 paths x (reference 0.1 / (0.01 / 2^4) + levels 10 + 20 + 40);
+        # fields per path: the initial state and the final states of 4 runs
+        ("converge", CONVERGE, 2 * (160 + 10 + 20 + 40), 2 * (1 + 4)),
     ],
 )
-def test_traced_run_counts_one_step_and_one_field_per_path_step(tmp_path, command, text, steps):
+def test_traced_run_counts_one_step_and_one_field_per_path_step(tmp_path, command, text, steps, fields):
     config = tmp_path / "run.cfg"
     config.write_text(text)
     argv = [command, "--quiet", "--config", str(config), "--out", str(tmp_path / "out"), "--paths", "2"]
     layers, fp_evals = traced_metrics(argv)  # a traced name that no longer exists raises LookupError
     assert layers["dynamics.split_calls"] + layers["dynamics.mid_calls"] == steps
     assert layers["noise.field_calls"] == steps
+    assert layers["spectral.field_calls"] == fields
     assert layers["dynamics.nonconv"] == 0
     if layers["dynamics.mid_calls"]:
         assert fp_evals and min(fp_evals) >= 1

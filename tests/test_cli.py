@@ -120,8 +120,19 @@ class TestExitCodes:
     def test_bad_config_value(self, tmp_path, capsys):
         # a sample interval whose step count overflows a float
         overflow = FAST_MASS.replace("mass.sample_dt = 0.1", "mass.sample_dt = 1e300\nscheme.dt = 1e-10")
-        for text, key in (("model.alpha = 1.5", "model.alpha"), (overflow, "mass.sample_dt")):
-            assert run_cli(["mass-table"], tmp_path, text) == 1
+        # reference steps base_dt / 2^ref_level: 2^1100 is no float, and 1e-300 / 2^100 rounds to 0
+        deep = FAST_CONVERGE.replace("converge.levels = 3", "converge.levels = 2")
+        beyond = deep.replace("converge.ref_level = 4", "converge.ref_level = 1100")
+        tiny = deep.replace("converge.ref_level = 4", "converge.ref_level = 100").replace(
+            "converge.base_dt = 0.01", "converge.base_dt = 1e-300"
+        )
+        for command, text, key in (
+            ("mass-table", "model.alpha = 1.5", "model.alpha"),
+            ("mass-table", overflow, "mass.sample_dt"),
+            ("converge", beyond, "converge.ref_level"),
+            ("converge", tiny, "converge.ref_level"),
+        ):
+            assert run_cli([command, "--quiet"], tmp_path, text) == 1
             assert key in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path, capsys):
@@ -157,6 +168,14 @@ class TestExitCodes:
                 huge = re.sub(r"horizon\.T = \S+", f"horizon.T = {horizon!r}", text)
                 assert run_cli([command, "--quiet"], tmp_path, huge) == 1
                 assert "horizon.T" in capsys.readouterr().err
+        # one step of K = 2^25 modes passes the increment-table guard; its K x N profile table does not
+        monkeypatch.setattr(experiments, "build_noise_model", no_table)
+        for command, text in (("evolve", FAST_EVOLVE), ("mass-table", FAST_MASS), ("energy", FAST_ENERGY)):
+            wide = re.sub(r"horizon\.T = \S+", "horizon.T = 0.01", text)
+            wide = wide.replace("grid.N = 64", "grid.N = 4096")
+            wide = wide.replace("noise.K = 10", f"noise.K = {experiments.MAX_TABLE_ENTRIES}")
+            assert run_cli([command, "--quiet"], tmp_path, wide) == 1
+            assert "noise.K" in capsys.readouterr().err
 
     def test_nonconvergence_exit(self, tmp_path, capsys):
         config = """

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sfnse.config import RunConfig, parse_config, write_default_config
-from sfnse.errors import IoError, ParseError, UnknownKeyError, ValidationError
+from sfnse.errors import IoError, ParseError, ShapeError, UnknownKeyError, ValidationError
 from sfnse.output import format_value, read_snapshot, write_csv, write_snapshot
 from sfnse.spectral import ComplexField, build_grid
 
@@ -151,6 +153,8 @@ class TestSnapshot:
         blob = target.read_bytes()
         assert blob[:4] == b"SFNS"
         assert len(blob) == 36 + 16 * 4
+        with pytest.raises(ShapeError):
+            write_snapshot(target, field, build_grid(0.0, 1.0, 8))
 
     def test_corruption_detected(self, tmp_path):
         bad = tmp_path / "bad.sfns"
@@ -159,3 +163,15 @@ class TestSnapshot:
             read_snapshot(bad)
         with pytest.raises(IoError):
             read_snapshot(tmp_path / "gone.sfns")
+        # well-formed layouts that no writer produces: N = 0, b < a, a NaN payload
+        nan_payload = np.array([0, np.nan, 0, 0], dtype="<c16").tobytes()
+        for name, (a, b, n), payload in (
+            ("empty.sfns", (0.0, 1.0, 0), b""),
+            ("reversed.sfns", (1.0, 0.0, 4), bytes(64)),
+            ("nan.sfns", (0.0, 1.0, 4), nan_payload),
+        ):
+            crafted = tmp_path / name
+            crafted.write_bytes(struct.pack("<4sIddId", b"SFNS", 1, a, b, n, 0.0) + payload)
+            with pytest.raises(IoError) as info:
+                read_snapshot(crafted)
+            assert info.value.path == crafted

@@ -29,12 +29,8 @@ def random_state(grid, seed, scale=1.0):
     return scale * v
 
 
-def l2(a, b, grid):
-    return l2_error(ComplexField(a), ComplexField(b), grid)
-
-
 def mass2(v, grid):
-    return mass(ComplexField(v), grid, "squared")
+    return mass(v, grid, "squared")
 
 
 def reference_flow(state, model, grid, t_end, rtol=1e-12, atol=1e-13):
@@ -107,7 +103,7 @@ class TestMidpoint:
         for dt in (0.02, 0.01):
             out = midpoint_step(state, np.zeros(grid.N), model, SchemeParams(dt=dt), grid)
             ref = reference_flow(state, model, grid, dt)
-            errs.append(l2(out, ref, grid))
+            errs.append(l2_error(out, ref, grid))
         assert errs[0] < 5e-4
         # local error is O(dt^3): halving dt shrinks it by ~8; demand at least O(dt^2)
         assert errs[0] / errs[1] > 3.5
@@ -122,7 +118,7 @@ class TestMidpoint:
             s = state
             for _ in range(round(0.2 / dt)):
                 s = midpoint_step(s, np.zeros(grid.N), model, SchemeParams(dt=dt), grid)
-            errs.append(l2(s, ref, grid))
+            errs.append(l2_error(s, ref, grid))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
 
@@ -242,7 +238,7 @@ class TestSplitting:
             scheme = SchemeParams(dt=dt)
             for _ in range(round(0.1 / dt)):
                 s = splitting_step(s, np.zeros(grid.N), model, scheme, grid)
-            errs.append(l2(s, ref, grid))
+            errs.append(l2_error(s, ref, grid))
         order = math.log2(errs[0] / errs[1])
         assert order >= 0.8
 
@@ -267,7 +263,7 @@ class TestEvolve:
         empty = WienerPath(seed=0, dt=scheme.dt, steps=0, increments=np.empty((0, 4)))
         initial = ComplexField(random_state(grid, 15))
         final, records = evolve(initial, "splitting", model, scheme, grid, empty, noise)
-        assert final is initial
+        assert np.array_equal(final.values, initial.values) and final.time == initial.time
         assert records == {}
 
     def test_splitting_mass_series_constant(self):
@@ -312,13 +308,15 @@ class TestEvolve:
             with pytest.raises(DomainError):
                 evolve(ComplexField(random_state(grid, 20)), integrator, model, scheme, grid, path, noise)
 
-    def test_fields_built_only_where_observed(self, monkeypatch):
+    def test_one_field_built_and_observers_see_arrays(self, monkeypatch):
         grid, model, scheme, noise, path = self._setup(steps=10)
-        initial = ComplexField(random_state(grid, 24))
+        initial = ComplexField(random_state(grid, 24), time=0.5)
         v, t = initial.values, initial.time
+        expected = [v]
         for n in range(path.steps):
             v = splitting_step(v, increment_field(path, n, noise, grid), model, scheme, grid)
             t = t + scheme.dt
+            expected.append(v)
         built = []
         field_init = ComplexField.__init__
 
@@ -327,18 +325,17 @@ class TestEvolve:
             field_init(field, *args, **kwargs)
 
         monkeypatch.setattr(ComplexField, "__init__", counted_init)
-        for stride in (3, 5):  # the last step is observed only at stride 5
+        for stride in (1, 3):
             built.clear()
             seen = []
             obs = Observer("seen", stride, seen.append)
             final, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
-            fired = len(records["seen"]) - 1  # the step-0 record observes ``initial`` itself
-            last_unobserved = path.steps % stride != 0
-            assert len(built) == fired + last_unobserved
-            assert seen[0] is initial
-            assert [id(s) for s in seen[1:]] == [id(b) for b in built[:fired]]
-            assert (final is seen[-1]) != last_unobserved
+            assert len(built) == 1 and built[0] is final
             assert np.array_equal(final.values, v) and final.time == t
+            assert [n for n, _, _ in records["seen"]] == list(range(0, path.steps + 1, stride))
+            assert all(type(s) is np.ndarray for s in seen)
+            for s, n in zip(seen, range(0, path.steps + 1, stride), strict=True):
+                assert s.tobytes() == expected[n].tobytes()
 
     def test_one_increment_field_and_one_step_per_step(self, monkeypatch):
         grid, model, scheme, noise, path = self._setup(steps=3)

@@ -182,11 +182,11 @@ class TestFieldEvolution:
         grid, final, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=5)))
         snapshots = records["snap"]
         assert [step for step, _, _ in snapshots] == [0, 5, 10]
-        assert snapshots[-1][2] is final
+        assert np.array_equal(snapshots[-1][2], final.values)
         peak0 = np.max(np.abs(sech_carrier_initial(grid).values))
         for _, _, state in snapshots:
-            assert np.all(np.isfinite(state.values))
-            assert np.max(np.abs(state.values)) <= 2.0 * peak0
+            assert np.all(np.isfinite(state))
+            assert np.max(np.abs(state)) <= 2.0 * peak0
         names = self._cli_snapshots(tmp_path, 5, tmp_path / "snaps")
         assert names == ["snapshot_000000.sfns", "snapshot_000005.sfns", "snapshot_000010.sfns"]
         _, written = read_snapshot(tmp_path / "snaps" / names[-1])
@@ -204,7 +204,7 @@ class TestFieldEvolution:
         _, _, b = run_evolution(config)
         for (st_a, _, f_a), (st_b, _, f_b) in zip(a["snap"], b["snap"], strict=True):
             assert st_a == st_b
-            assert np.array_equal(f_a.values, f_b.values)
+            assert np.array_equal(f_a, f_b)
         names = self._cli_snapshots(tmp_path, 5, tmp_path / "a")
         assert names == self._cli_snapshots(tmp_path, 5, tmp_path / "b")
         for name in names:
@@ -217,6 +217,7 @@ def test_table_guard_admits_every_shipped_config():
     assert len(shipped) >= 6
     for path in shipped:
         config = parse_config(path.read_text(encoding="utf-8"))
+        experiments._grid_and_noise(config)  # raises SizeError past the K x N guard
         fine_dt = config.converge_base_dt / 2**config.converge_ref_level
         for dt in (config.dt, fine_dt):
             _path_steps(config, dt)  # raises SizeError past the guard

@@ -3,6 +3,7 @@ import pytest
 
 from sfnse.errors import DomainError, ShapeError, SizeError
 from sfnse.spectral import (
+    ComplexField,
     apply_frac_laplacian,
     apply_g_operator,
     build_grid,
@@ -49,6 +50,26 @@ class TestGrid:
     def test_rejects_bad_grids(self, args):
         with pytest.raises(DomainError):
             build_grid(*args)
+
+
+class TestComplexField:
+    """The boundary validator: a caller's initial state, evolve's final state, snapshots."""
+
+    def test_real_values_coerced_to_complex128(self):
+        field = ComplexField(np.arange(4), time=0.25)
+        assert field.values.dtype == np.complex128
+        assert np.array_equal(field.values, [0, 1, 2, 3]) and field.time == 0.25
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ShapeError):
+            ComplexField(np.zeros((2, 4), complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.zeros(8, complex)
+        values[3] = bad
+        with pytest.raises(DomainError):
+            ComplexField(values)
 
 
 class TestTransform:
