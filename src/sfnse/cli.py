@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .config import RunConfig, _check_seed, parse_config, write_default_config
+from .config import RunConfig, _override, parse_config, write_default_config
 from .diagnostics import mass
 from .errors import (
     ConfigError,
@@ -88,19 +87,13 @@ def _load_config(args) -> RunConfig:
     config = parse_config(text)
     env_seed = os.environ.get("SFNSE_SEED")
     if env_seed is not None:
-        try:
-            seed = int(env_seed, 10)
-        except ValueError:
-            raise ValidationError("SFNSE_SEED", f"invalid seed {env_seed!r}") from None
-        config = replace(config, noise_seed=_check_seed("SFNSE_SEED", seed))
+        config = _override(config, "SFNSE_SEED", env_seed, "noise_seed")
     if args.seed is not None:
-        config = replace(config, noise_seed=_check_seed("--seed", args.seed))
+        config = _override(config, "--seed", args.seed, "noise_seed")
     if args.paths is not None:
-        if args.paths < 1:
-            raise ValidationError("--paths", f"path count must be >= 1, got {args.paths}")
-        config = replace(config, converge_n_paths=args.paths, energy_n_paths=args.paths)
+        config = _override(config, "--paths", args.paths, "converge_n_paths", "energy_n_paths")
     if args.out is not None:
-        config = replace(config, out_dir=str(args.out))
+        config = _override(config, "--out", str(args.out), "out_dir")
     return config
 
 

@@ -7,47 +7,22 @@ validation errors naming the offending key.  Unspecified keys fall back to the
 reference single-trajectory setup (sech carrier initial data on [-20, 20)
 with N = 400, dt = 0.01, defocusing cubic nonlinearity, 100 noise modes at
 amplitude 0.01, horizon T = 10).
+
+Each setting is declared once, as a ``RunConfig`` field: its annotation picks
+the literal parser, and ``_setting`` attaches the dotted key, the range check
+and the one-line comment that ``write_default_config`` renders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ParseError, UnknownKeyError, ValidationError
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for every experiment driver."""
-
-    grid_a: float = -20.0
-    grid_b: float = 20.0
-    grid_n: int = 400
-    alpha: float = 0.6
-    lam: float = 1.0
-    sigma: float = 1.0
-    epsilon: float = 0.01
-    integrator: str = "midpoint"
-    dt: float = 0.01
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 50
-    noise_k: int = 100
-    noise_profile: str = "sin"
-    noise_seed: int = 123456789
-    horizon_t: float = 10.0
-    out_dir: str = "out"
-    snapshot_stride: int = 100
-    diagnostics_stride: int = 10
-    energy_stride: int = 10
-    energy_n_paths: int = 10
-    mass_alphas: tuple[float, ...] = (0.6, 0.75, 0.9)
-    mass_sample_dt: float = 2.0
-    converge_base_dt: float = 0.01
-    converge_levels: int = 5
-    converge_ref_level: int = 5
-    converge_n_paths: int = 100
-    workers: int = 1
+class _Malformed(Exception):
+    """Internal: literal did not parse; converted to ParseError with position."""
 
 
 def _parse_float(text: str) -> float:
@@ -80,8 +55,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in items)
 
 
-class _Malformed(Exception):
-    """Internal: literal did not parse; converted to ParseError with position."""
+# field annotation (a string under postponed evaluation) -> literal parser
+_LITERALS = {"float": _parse_float, "int": _parse_int, "str": _parse_str, "tuple[float, ...]": _parse_float_list}
 
 
 def _positive(key: str, value):
@@ -96,13 +71,10 @@ def _non_negative(key: str, value):
     return value
 
 
-def _at_least(minimum):
-    def check(key, value):
-        if value < minimum:
-            raise ValidationError(key, f"must be >= {minimum}, got {value}")
-        return value
-
-    return check
+def _at_least_1(key: str, value: int) -> int:
+    if value < 1:
+        raise ValidationError(key, f"must be >= 1, got {value}")
+    return value
 
 
 def _check_seed(key: str, value: int) -> int:
@@ -139,70 +111,53 @@ def _choice(*options):
     return check
 
 
-def _any(key, value):
-    return value
+def _setting(key: str, default, comment: str, check=lambda key, value: value):
+    """A RunConfig field declaring its config key, range check and comment."""
+    return field(default=default, metadata={"key": key, "comment": comment, "check": check})
 
 
-# key -> (dataclass attribute, literal parser, semantic validator)
-_SCHEMA = {
-    "grid.a": ("grid_a", _parse_float, _any),
-    "grid.b": ("grid_b", _parse_float, _any),
-    "grid.N": ("grid_n", _parse_int, _even_grid),
-    "model.alpha": ("alpha", _parse_float, _unit_interval),
-    "model.lambda": ("lam", _parse_float, _any),
-    "model.sigma": ("sigma", _parse_float, _non_negative),
-    "model.epsilon": ("epsilon", _parse_float, _non_negative),
-    "scheme.integrator": ("integrator", _parse_str, _choice("midpoint", "splitting")),
-    "scheme.dt": ("dt", _parse_float, _positive),
-    "scheme.fp_tol": ("fp_tol", _parse_float, _positive),
-    "scheme.fp_max_iter": ("fp_max_iter", _parse_int, _at_least(1)),
-    "noise.K": ("noise_k", _parse_int, _at_least(1)),
-    "noise.profile": ("noise_profile", _parse_str, _choice("sin")),
-    "noise.seed": ("noise_seed", _parse_int, _check_seed),
-    "horizon.T": ("horizon_t", _parse_float, _positive),
-    "output.dir": ("out_dir", _parse_str, _any),
-    "output.snapshot_stride": ("snapshot_stride", _parse_int, _non_negative),
-    "output.diagnostics_stride": ("diagnostics_stride", _parse_int, _at_least(1)),
-    "energy.stride": ("energy_stride", _parse_int, _at_least(1)),
-    "energy.n_paths": ("energy_n_paths", _parse_int, _at_least(1)),
-    "mass.alphas": ("mass_alphas", _parse_float_list, _alpha_list),
-    "mass.sample_dt": ("mass_sample_dt", _parse_float, _positive),
-    "converge.base_dt": ("converge_base_dt", _parse_float, _positive),
-    "converge.levels": ("converge_levels", _parse_int, _at_least(1)),
-    "converge.ref_level": ("converge_ref_level", _parse_int, _at_least(1)),
-    "converge.n_paths": ("converge_n_paths", _parse_int, _at_least(1)),
-    "experiments.workers": ("workers", _parse_int, _at_least(1)),
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated settings for every experiment driver."""
 
-_COMMENTS = {
-    "grid.a": "left endpoint of the periodic domain [a, b)",
-    "grid.b": "right endpoint (excluded node)",
-    "grid.N": "grid points, even",
-    "model.alpha": "fractional exponent in (0, 1]",
-    "model.lambda": "nonlinearity sign: +1 defocusing, -1 focusing",
-    "model.sigma": "nonlinearity power",
-    "model.epsilon": "noise amplitude",
-    "scheme.integrator": "midpoint | splitting",
-    "scheme.dt": "time step",
-    "scheme.fp_tol": "implicit-solver residual tolerance (discrete l2)",
-    "scheme.fp_max_iter": "implicit-solver iteration cap",
-    "noise.K": "retained noise modes",
-    "noise.profile": "spatial mode family",
-    "noise.seed": "master seed (overridden by SFNSE_SEED, then --seed)",
-    "horizon.T": "final model time",
-    "output.dir": "output directory for CSV and snapshot files",
-    "output.snapshot_stride": "steps between snapshots; 0 disables",
-    "output.diagnostics_stride": "steps between diagnostics rows",
-    "energy.stride": "steps between energy samples",
-    "energy.n_paths": "ensemble size for the energy study",
-    "mass.alphas": "exponents for the mass table",
-    "mass.sample_dt": "model time between mass samples",
-    "converge.base_dt": "coarsest step of the convergence study",
-    "converge.levels": "number of halving levels (r = 0..levels-1)",
-    "converge.ref_level": "reference halving level, must exceed levels-1",
-    "converge.n_paths": "Monte Carlo paths (paper scale: 500)",
-    "experiments.workers": "worker processes for path fan-out",
-}
+    grid_a: float = _setting("grid.a", -20.0, "left endpoint of the periodic domain [a, b)")
+    grid_b: float = _setting("grid.b", 20.0, "right endpoint (excluded node)")
+    grid_n: int = _setting("grid.N", 400, "grid points, even", _even_grid)
+    alpha: float = _setting("model.alpha", 0.6, "fractional exponent in (0, 1]", _unit_interval)
+    lam: float = _setting("model.lambda", 1.0, "nonlinearity sign: +1 defocusing, -1 focusing")
+    sigma: float = _setting("model.sigma", 1.0, "nonlinearity power", _non_negative)
+    epsilon: float = _setting("model.epsilon", 0.01, "noise amplitude", _non_negative)
+    integrator: str = _setting(
+        "scheme.integrator", "midpoint", "midpoint | splitting", _choice("midpoint", "splitting")
+    )
+    dt: float = _setting("scheme.dt", 0.01, "time step", _positive)
+    fp_tol: float = _setting("scheme.fp_tol", 1e-12, "implicit-solver residual tolerance (discrete l2)", _positive)
+    fp_max_iter: int = _setting("scheme.fp_max_iter", 50, "implicit-solver iteration cap", _at_least_1)
+    noise_k: int = _setting("noise.K", 100, "retained noise modes", _at_least_1)
+    noise_profile: str = _setting("noise.profile", "sin", "spatial mode family", _choice("sin"))
+    noise_seed: int = _setting(
+        "noise.seed", 123456789, "master seed (overridden by SFNSE_SEED, then --seed)", _check_seed
+    )
+    horizon_t: float = _setting("horizon.T", 10.0, "final model time", _positive)
+    out_dir: str = _setting("output.dir", "out", "output directory for CSV and snapshot files")
+    snapshot_stride: int = _setting("output.snapshot_stride", 100, "steps between snapshots; 0 disables", _non_negative)
+    diagnostics_stride: int = _setting("output.diagnostics_stride", 10, "steps between diagnostics rows", _at_least_1)
+    energy_stride: int = _setting("energy.stride", 10, "steps between energy samples", _at_least_1)
+    energy_n_paths: int = _setting("energy.n_paths", 10, "ensemble size for the energy study", _at_least_1)
+    mass_alphas: tuple[float, ...] = _setting(
+        "mass.alphas", (0.6, 0.75, 0.9), "exponents for the mass table", _alpha_list
+    )
+    mass_sample_dt: float = _setting("mass.sample_dt", 2.0, "model time between mass samples", _positive)
+    converge_base_dt: float = _setting("converge.base_dt", 0.01, "coarsest step of the convergence study", _positive)
+    converge_levels: int = _setting("converge.levels", 5, "number of halving levels (r = 0..levels-1)", _at_least_1)
+    converge_ref_level: int = _setting(
+        "converge.ref_level", 5, "reference halving level, must exceed levels-1", _at_least_1
+    )
+    converge_n_paths: int = _setting("converge.n_paths", 100, "Monte Carlo paths (paper scale: 500)", _at_least_1)
+    workers: int = _setting("experiments.workers", 1, "worker processes for path fan-out", _at_least_1)
+
+
+_BY_KEY = {setting.metadata["key"]: setting for setting in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -219,19 +174,19 @@ def parse_config(text: str) -> RunConfig:
         key = key_part.strip()
         if not key:
             raise ParseError(lineno, 1, "missing key before '='")
-        if key not in _SCHEMA:
+        if key not in _BY_KEY:
             raise UnknownKeyError(key, line=lineno)
         if key in seen:
             raise ParseError(lineno, 1, f"duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
         value_text = value_part.strip()
         value_col = line.index("=") + 1 + (len(value_part) - len(value_part.lstrip())) + 1
-        attr, literal, validate = _SCHEMA[key]
+        setting = _BY_KEY[key]
         try:
-            value = literal(value_text)
+            value = _LITERALS[setting.type](value_text)
         except _Malformed as exc:
             raise ParseError(lineno, value_col, f"{key}: {exc}") from None
-        overrides[attr] = validate(key, value)
+        overrides[setting.name] = setting.metadata["check"](key, value)
 
     config = RunConfig(**overrides)
     if not config.grid_b > config.grid_a:
@@ -239,19 +194,29 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _override(config: RunConfig, name: str, value, *attrs: str) -> RunConfig:
+    """Set fields ``attrs`` to ``value`` (parsed first if a string) by their own checks, naming ``name``."""
+    changes = {}
+    for setting in fields(RunConfig):
+        if setting.name in attrs:
+            try:
+                item = _LITERALS[setting.type](value) if isinstance(value, str) else value
+            except _Malformed as exc:
+                raise ValidationError(name, str(exc)) from None
+            changes[setting.name] = setting.metadata["check"](name, item)
+    return replace(config, **changes)
+
+
 def write_default_config() -> str:
     """Render every key with its default value; parses back to RunConfig()."""
-    defaults = RunConfig()
-    by_attr = {attr: key for key, (attr, _, _) in _SCHEMA.items()}
     lines = ["# default run configuration", ""]
-    for field in fields(RunConfig):
-        key = by_attr[field.name]
-        value = getattr(defaults, field.name)
+    for setting in fields(RunConfig):
+        value = setting.default
         if isinstance(value, tuple):
             text = ", ".join(repr(item) for item in value)
         elif isinstance(value, float):
             text = repr(value)
         else:
             text = str(value)
-        lines.append(f"{key} = {text}  # {_COMMENTS[key]}")
+        lines.append(f"{setting.metadata['key']} = {text}  # {setting.metadata['comment']}")
     return "\n".join(lines) + "\n"

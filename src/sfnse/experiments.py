@@ -178,19 +178,16 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _convergence_path_errors(
-    index: int,
-    config: RunConfig,
-) -> np.ndarray:
-    """Max-in-time errors of every test level against the reference, one path."""
+def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float) -> np.ndarray:
+    """Max-in-time errors of every test level against the reference, one path.
+
+    Each level steps at the dt of its coupled path: fine_dt times its coarsening factor.
+    """
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
     levels = config.converge_levels
     ref = config.converge_ref_level
-    base_dt = config.converge_base_dt
-    fine_dt = base_dt / 2**ref
-    fine_steps = _path_steps(config, fine_dt)
-    fine = sample_wiener_path(noise, fine_steps, fine_dt, path_seed(config.noise_seed, index))
+    fine = sample_wiener_path(noise, _path_steps(config, fine_dt), fine_dt, path_seed(config.noise_seed, index))
     initial = sech_carrier_initial(grid)
 
     # reference states stored on the finest test level's time grid, which
@@ -198,17 +195,16 @@ def _convergence_path_errors(
     ref_stride = 2 ** (ref - (levels - 1))
     snap = Observer("snap", ref_stride, lambda s: s)
     _, ref_records = evolve(
-        initial, "splitting", model, scheme_from_config(config, fine_dt), grid, fine, noise, [snap]
+        initial, "splitting", model, scheme_from_config(config, fine.dt), grid, fine, noise, [snap]
     )
     ref_states = [state for _, _, state in ref_records["snap"]]
 
     errors = np.empty(levels)
     for r in range(levels):
-        dt_r = base_dt / 2**r
         path_r = coarsen_path(fine, 2 ** (ref - r))
         snap_r = Observer("snap", 1, lambda s: s)
         _, records_r = evolve(
-            initial, "splitting", model, scheme_from_config(config, dt_r), grid, path_r, noise, [snap_r]
+            initial, "splitting", model, scheme_from_config(config, path_r.dt), grid, path_r, noise, [snap_r]
         )
         spacing = 2 ** ((levels - 1) - r)  # level-r times on the stored reference grid
         errors[r] = max(
@@ -240,11 +236,11 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
         raise ConfigError("convergence study requires model.sigma = 0")
     levels = config.converge_levels
     if levels < 2:
-        raise ConfigError("convergence study needs at least 2 levels")
+        raise ConfigError("converge.levels: convergence study needs at least 2 levels")
     if config.converge_ref_level <= levels - 1:
         raise ConfigError(
-            f"reference level {config.converge_ref_level} must be strictly finer than "
-            f"the finest test level {levels - 1}"
+            f"converge.ref_level: reference level {config.converge_ref_level} must be "
+            f"strictly finer than the finest test level {levels - 1}"
         )
     # base_dt / 2**ref_level without forming 2**ref_level, which can be past any float
     fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
@@ -257,7 +253,8 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     _path_steps(config, fine_dt)
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
     n_paths = config.converge_n_paths
-    per_path = np.array(_map_paths(partial(_convergence_path_errors, config=config), n_paths, config.workers))
+    worker = partial(_convergence_path_errors, config=config, fine_dt=fine_dt)
+    per_path = np.array(_map_paths(worker, n_paths, config.workers))
 
     errors = per_path.mean(axis=0)
     if n_paths > 1:

@@ -55,12 +55,11 @@ class WienerPath:
     increments: np.ndarray
 
 
-def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile="sin") -> NoiseModel:
+def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str = "sin") -> NoiseModel:
     """Sample the noise mode profiles at the grid nodes.
 
-    ``profile`` is either the string "sin" for the built-in family
-    (1/l) * sin(pi * l * x), l = 1..K, sampled at the absolute coordinates of
-    the grid nodes, or an array of K user-supplied rows of length N.
+    ``profile`` names the built-in family; "sin" is (1/l) * sin(pi * l * x),
+    l = 1..K, sampled at the absolute coordinates of the grid nodes.
     """
     K = int(K)
     if K < 1:
@@ -68,20 +67,11 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile="sin
     epsilon = float(epsilon)
     if epsilon < 0.0:
         raise DomainError(f"noise amplitude epsilon must be >= 0, got {epsilon}")
-    if isinstance(profile, str):
-        if profile != "sin":
-            raise DomainError(f"unknown built-in profile {profile!r}")
-        x = grid.nodes()
-        l = np.arange(1, K + 1, dtype=np.float64)[:, None]
-        profiles = np.sin(np.pi * l * x[None, :]) / l
-    else:
-        profiles = np.array(profile, dtype=np.float64)
-        if profiles.shape != (K, grid.N):
-            raise DomainError(
-                f"profile array must have shape ({K}, {grid.N}), got {profiles.shape}"
-            )
-    if not np.all(np.isfinite(profiles)):
-        raise DomainError("noise profiles contain non-finite values")
+    if profile != "sin":
+        raise DomainError(f"unknown built-in profile {profile!r}")
+    x = grid.nodes()
+    l = np.arange(1, K + 1, dtype=np.float64)[:, None]
+    profiles = np.sin(np.pi * l * x[None, :]) / l
     profiles.setflags(write=False)
     return NoiseModel(K, epsilon, profiles)
 

@@ -35,8 +35,8 @@ class GridSpec:
     mu: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.b > self.a:
-            raise DomainError(f"grid needs b > a, got [{self.a}, {self.b})")
+        if not (self.b > self.a and np.isfinite(self.b - self.a)):
+            raise DomainError(f"grid needs finite a < b, got [{self.a}, {self.b})")
         if self.N % 2 != 0 or self.N < 4:
             raise DomainError(f"grid needs an even N >= 4, got N={self.N}")
         object.__setattr__(self, "h", (self.b - self.a) / self.N)
@@ -69,6 +69,8 @@ class ComplexField:
             raise ShapeError(f"field values must be a 1-D array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DomainError("field contains non-finite values")
+        if not np.isfinite(self.time):
+            raise DomainError(f"field time must be finite, got {self.time}")
         object.__setattr__(self, "values", v)
 
 

@@ -126,11 +126,15 @@ class TestExitCodes:
         tiny = deep.replace("converge.ref_level = 4", "converge.ref_level = 100").replace(
             "converge.base_dt = 0.01", "converge.base_dt = 1e-300"
         )
+        one_level = FAST_CONVERGE.replace("converge.levels = 3", "converge.levels = 1")
+        coarse_ref = FAST_CONVERGE.replace("converge.ref_level = 4", "converge.ref_level = 2")
         for command, text, key in (
             ("mass-table", "model.alpha = 1.5", "model.alpha"),
             ("mass-table", overflow, "mass.sample_dt"),
             ("converge", beyond, "converge.ref_level"),
             ("converge", tiny, "converge.ref_level"),
+            ("converge", one_level, "converge.levels"),
+            ("converge", coarse_ref, "converge.ref_level"),
         ):
             assert run_cli([command, "--quiet"], tmp_path, text) == 1
             assert key in capsys.readouterr().err
@@ -236,6 +240,17 @@ class TestSeedPlumbing:
             assert run_cli(["evolve", "--quiet", "--out", str(out), *flags], tmp_path, text, env_seed=env_seed) == 0
             outputs.append((out / "evolve_diagnostics.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_bad_override_names_its_source(self, tmp_path, capsys):
+        for flags, env_seed, name in (
+            (["--paths", "0"], None, "--paths"),
+            (["--seed", "-1"], None, "--seed"),
+            ([], "12x", "SFNSE_SEED"),
+            ([], "-5", "SFNSE_SEED"),
+        ):
+            assert run_cli(["energy", "--quiet", *flags], tmp_path, FAST_ENERGY, env_seed=env_seed) == 1
+            assert capsys.readouterr().err.startswith(f"error: {name}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_paths_flag_overrides(self, tmp_path):
         run_cli(["energy", "--quiet", "--paths", "3"], tmp_path, FAST_ENERGY)

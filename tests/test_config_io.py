@@ -1,4 +1,5 @@
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -101,7 +102,18 @@ mass.alphas = 0.5, 0.75
             assert info.value.key == key
 
     def test_default_roundtrip(self):
-        assert parse_config(write_default_config()) == RunConfig()
+        text = write_default_config()
+        assert parse_config(text) == RunConfig()
+        # one line per RunConfig field, each with its own key and a comment
+        lines = text.splitlines()[2:]
+        assert len(lines) == len(fields(RunConfig))
+        keys = set()
+        for line in lines:
+            assignment, _, comment = line.partition("  # ")
+            assert comment.strip()
+            assert parse_config(assignment) == RunConfig()
+            keys.add(assignment.partition(" = ")[0])
+        assert len(keys) == len(lines)
 
 
 class TestCsv:
@@ -163,15 +175,18 @@ class TestSnapshot:
             read_snapshot(bad)
         with pytest.raises(IoError):
             read_snapshot(tmp_path / "gone.sfns")
-        # well-formed layouts that no writer produces: N = 0, b < a, a NaN payload
+        # well-formed layouts that no writer produces: N = 0, b < a, a NaN payload,
+        # a NaN time and an infinite bound
         nan_payload = np.array([0, np.nan, 0, 0], dtype="<c16").tobytes()
-        for name, (a, b, n), payload in (
-            ("empty.sfns", (0.0, 1.0, 0), b""),
-            ("reversed.sfns", (1.0, 0.0, 4), bytes(64)),
-            ("nan.sfns", (0.0, 1.0, 4), nan_payload),
+        for name, (a, b, n, time), payload in (
+            ("empty.sfns", (0.0, 1.0, 0, 0.0), b""),
+            ("reversed.sfns", (1.0, 0.0, 4, 0.0), bytes(64)),
+            ("nan.sfns", (0.0, 1.0, 4, 0.0), nan_payload),
+            ("nan_time.sfns", (0.0, 1.0, 4, np.nan), bytes(64)),
+            ("inf_bound.sfns", (-np.inf, 0.0, 4, 0.0), bytes(64)),
         ):
             crafted = tmp_path / name
-            crafted.write_bytes(struct.pack("<4sIddId", b"SFNS", 1, a, b, n, 0.0) + payload)
+            crafted.write_bytes(struct.pack("<4sIddId", b"SFNS", 1, a, b, n, time) + payload)
             with pytest.raises(IoError) as info:
                 read_snapshot(crafted)
             assert info.value.path == crafted

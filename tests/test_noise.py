@@ -5,6 +5,7 @@ import pytest
 
 from sfnse.errors import DivisibilityError, DomainError, ShapeError
 from sfnse.noise import (
+    NoiseModel,
     WienerPath,
     _normal_from_raw,
     _philox,
@@ -29,25 +30,27 @@ class TestNoiseModel:
         x = grid.nodes()
         for l in (1, 7, 100):
             assert np.allclose(model.mode_profiles[l - 1], np.sin(np.pi * l * x) / l, atol=0)
+        assert not model.mode_profiles.flags.writeable
 
     def test_zero_profile(self, grid):
-        model = build_noise_model(1, grid, epsilon=0.5, profile=np.zeros((1, 400)))
+        model = NoiseModel(1, 0.5, np.zeros((1, 400)))
         path = sample_wiener_path(model, 4, 0.1, seed=0)
         assert np.all(increment_field(path, 0, model, grid) == 0.0)
 
     def test_two_orthogonal_profiles(self):
         g = build_grid(0.0, 2.0 * np.pi, 16)
         x = g.nodes()
-        profiles = np.stack([np.sin(x), np.cos(x)])
-        model = build_noise_model(2, g, profile=profiles)
-        assert np.array_equal(model.mode_profiles, profiles)
-        assert not model.mode_profiles.flags.writeable
+        model = NoiseModel(2, 0.5, np.stack([np.sin(x), np.cos(x)]))
+        path = sample_wiener_path(model, 3, 0.1, seed=5)
+        db = path.increments[2]
+        expected = 0.5 * (db[0] * np.sin(x) + db[1] * np.cos(x))
+        assert np.allclose(increment_field(path, 2, model, g), expected, rtol=0, atol=1e-15)
 
     def test_rejects_bad_inputs(self, grid):
         with pytest.raises(DomainError):
             build_noise_model(0, grid)
         with pytest.raises(DomainError):
-            build_noise_model(2, grid, profile=np.zeros((2, 399)))
+            build_noise_model(2, grid, profile="cos")
         with pytest.raises(DomainError):
             build_noise_model(1, grid, epsilon=-0.1)
 
@@ -195,7 +198,7 @@ class TestIncrementField:
 
     def test_single_flat_mode(self):
         g = build_grid(0.0, 1.0, 8)
-        model = build_noise_model(1, g, epsilon=0.25, profile=np.ones((1, 8)))
+        model = NoiseModel(1, 0.25, np.ones((1, 8)))
         path = sample_wiener_path(model, 3, 0.5, seed=11)
         c = path.increments[1, 0]
         assert np.allclose(increment_field(path, 1, model, g), 0.25 * c, atol=0)

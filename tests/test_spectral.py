@@ -46,7 +46,10 @@ class TestGrid:
         g = build_grid(0.0, 1.0, 4)
         assert np.allclose(g.nodes(), [0.0, 0.25, 0.5, 0.75])
 
-    @pytest.mark.parametrize("args", [(1.0, 0.0, 8), (0.0, 1.0, 7), (0.0, 1.0, 2)])
+    @pytest.mark.parametrize(
+        "args",
+        [(1.0, 0.0, 8), (0.0, 1.0, 7), (0.0, 1.0, 2), (-np.inf, 0.0, 8), (0.0, np.inf, 8), (-1e308, 1e308, 8)],
+    )
     def test_rejects_bad_grids(self, args):
         with pytest.raises(DomainError):
             build_grid(*args)
@@ -70,6 +73,11 @@ class TestComplexField:
         values[3] = bad
         with pytest.raises(DomainError):
             ComplexField(values)
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(DomainError):
+            ComplexField(np.zeros(8, complex), time=time)
 
 
 class TestTransform:
