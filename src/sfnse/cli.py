@@ -206,7 +206,7 @@ def _selftest_checks():
     def check_splitting_mass():
         from .dynamics import ModelParams, SchemeParams, splitting_step
 
-        model = ModelParams(0.75, -1.0, 0.0, 0.01)
+        model = ModelParams(0.75, -1.0, 0.0)
         noise = build_noise_model(8, grid, epsilon=0.01)
         path = sample_wiener_path(noise, 100, 0.01, seed=11)
         v = 1.0 / np.cosh(grid.nodes() - np.pi) + 0j

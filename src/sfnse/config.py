@@ -10,7 +10,10 @@ amplitude 0.01, horizon T = 10).
 
 Each setting is declared once, as a ``RunConfig`` field: its annotation picks
 the literal parser, and ``_setting`` attaches the dotted key, the range check
-and the one-line comment that ``write_default_config`` renders.
+and the one-line comment that ``write_default_config`` renders.  A range rule
+that a solver module owns is that module's checker, not a copy, and
+``RunConfig`` applies every check on construction, so a config built in code
+is refused the same way as a parsed one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ParseError, UnknownKeyError, ValidationError
+from .dynamics import _stepper
+from .errors import DomainError, ParseError, UnknownKeyError, ValidationError
+from .noise import _check_profile, _check_philox_seed
+from .spectral import GridSpec, _check_alpha, _check_grid_n
 
 
 class _Malformed(Exception):
@@ -59,84 +65,53 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 _LITERALS = {"float": _parse_float, "int": _parse_int, "str": _parse_str, "tuple[float, ...]": _parse_float_list}
 
 
-def _positive(key: str, value):
+def _positive(value) -> None:
     if value <= 0:
-        raise ValidationError(key, f"must be > 0, got {value}")
-    return value
+        raise DomainError(f"must be > 0, got {value}")
 
 
-def _non_negative(key: str, value):
+def _non_negative(value) -> None:
     if value < 0:
-        raise ValidationError(key, f"must be >= 0, got {value}")
-    return value
+        raise DomainError(f"must be >= 0, got {value}")
 
 
-def _at_least_1(key: str, value: int) -> int:
+def _at_least_1(value: int) -> None:
     if value < 1:
-        raise ValidationError(key, f"must be >= 1, got {value}")
-    return value
+        raise DomainError(f"must be >= 1, got {value}")
 
 
-def _check_seed(key: str, value: int) -> int:
-    # Philox keys are 64-bit: a wider seed would alias one below 2^64
-    if not 0 <= value < 2**64:
-        raise ValidationError(key, f"seed must lie in [0, 2^64 - 1], got {value}")
-    return value
-
-
-def _unit_interval(key: str, value: float) -> float:
-    if not 0.0 < value <= 1.0:
-        raise ValidationError(key, f"must lie in (0, 1], got {value}")
-    return value
-
-
-def _alpha_list(key: str, value: tuple[float, ...]) -> tuple[float, ...]:
-    for item in value:
-        _unit_interval(key, item)
-    return value
-
-
-def _even_grid(key: str, value: int) -> int:
-    if value % 2 != 0 or value < 4:
-        raise ValidationError(key, f"must be an even integer >= 4, got {value}")
-    return value
-
-
-def _choice(*options):
-    def check(key, value):
-        if value not in options:
-            raise ValidationError(key, f"must be one of {options}, got {value!r}")
-        return value
-
-    return check
-
-
-def _setting(key: str, default, comment: str, check=lambda key, value: value):
-    """A RunConfig field declaring its config key, range check and comment."""
+def _setting(key: str, default, comment: str, check=lambda value: None):
+    """A RunConfig field declaring its config key, range check (raising DomainError) and comment."""
     return field(default=default, metadata={"key": key, "comment": comment, "check": check})
+
+
+def _check(setting, value, name: str) -> None:
+    """Apply the check of field ``setting`` to ``value``; a failure names ``name``."""
+    try:
+        setting.metadata["check"](value)
+    except DomainError as exc:
+        raise ValidationError(name, str(exc)) from None
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for every experiment driver."""
+    """Settings for every experiment driver, checked on construction (ValidationError names the key)."""
 
     grid_a: float = _setting("grid.a", -20.0, "left endpoint of the periodic domain [a, b)")
     grid_b: float = _setting("grid.b", 20.0, "right endpoint (excluded node)")
-    grid_n: int = _setting("grid.N", 400, "grid points, even", _even_grid)
-    alpha: float = _setting("model.alpha", 0.6, "fractional exponent in (0, 1]", _unit_interval)
+    grid_n: int = _setting("grid.N", 400, "grid points, even", _check_grid_n)
+    alpha: float = _setting("model.alpha", 0.6, "fractional exponent in (0, 1]", _check_alpha)
     lam: float = _setting("model.lambda", 1.0, "nonlinearity sign: +1 defocusing, -1 focusing")
     sigma: float = _setting("model.sigma", 1.0, "nonlinearity power", _non_negative)
     epsilon: float = _setting("model.epsilon", 0.01, "noise amplitude", _non_negative)
-    integrator: str = _setting(
-        "scheme.integrator", "midpoint", "midpoint | splitting", _choice("midpoint", "splitting")
-    )
+    integrator: str = _setting("scheme.integrator", "midpoint", "midpoint | splitting", _stepper)
     dt: float = _setting("scheme.dt", 0.01, "time step", _positive)
     fp_tol: float = _setting("scheme.fp_tol", 1e-12, "implicit-solver residual tolerance (discrete l2)", _positive)
     fp_max_iter: int = _setting("scheme.fp_max_iter", 50, "implicit-solver iteration cap", _at_least_1)
     noise_k: int = _setting("noise.K", 100, "retained noise modes", _at_least_1)
-    noise_profile: str = _setting("noise.profile", "sin", "spatial mode family", _choice("sin"))
+    noise_profile: str = _setting("noise.profile", "sin", "spatial mode family", _check_profile)
     noise_seed: int = _setting(
-        "noise.seed", 123456789, "master seed (overridden by SFNSE_SEED, then --seed)", _check_seed
+        "noise.seed", 123456789, "master seed (overridden by SFNSE_SEED, then --seed)", _check_philox_seed
     )
     horizon_t: float = _setting("horizon.T", 10.0, "final model time", _positive)
     out_dir: str = _setting("output.dir", "out", "output directory for CSV and snapshot files")
@@ -145,7 +120,10 @@ class RunConfig:
     energy_stride: int = _setting("energy.stride", 10, "steps between energy samples", _at_least_1)
     energy_n_paths: int = _setting("energy.n_paths", 10, "ensemble size for the energy study", _at_least_1)
     mass_alphas: tuple[float, ...] = _setting(
-        "mass.alphas", (0.6, 0.75, 0.9), "exponents for the mass table", _alpha_list
+        "mass.alphas",
+        (0.6, 0.75, 0.9),
+        "exponents for the mass table",
+        lambda alphas: [_check_alpha(alpha) for alpha in alphas],
     )
     mass_sample_dt: float = _setting("mass.sample_dt", 2.0, "model time between mass samples", _positive)
     converge_base_dt: float = _setting("converge.base_dt", 0.01, "coarsest step of the convergence study", _positive)
@@ -156,12 +134,20 @@ class RunConfig:
     converge_n_paths: int = _setting("converge.n_paths", 100, "Monte Carlo paths (paper scale: 500)", _at_least_1)
     workers: int = _setting("experiments.workers", 1, "worker processes for path fan-out", _at_least_1)
 
+    def __post_init__(self) -> None:
+        for setting in fields(self):
+            _check(setting, getattr(self, setting.name), setting.metadata["key"])
+        try:
+            GridSpec(self.grid_a, self.grid_b, self.grid_n)
+        except DomainError as exc:
+            raise ValidationError("grid.b", str(exc)) from None
+
 
 _BY_KEY = {setting.metadata["key"]: setting for setting in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config; unspecified keys keep their defaults."""
+    """Parse a config into a RunConfig, which validates itself; unspecified keys keep their defaults."""
     overrides: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,12 +172,8 @@ def parse_config(text: str) -> RunConfig:
             value = _LITERALS[setting.type](value_text)
         except _Malformed as exc:
             raise ParseError(lineno, value_col, f"{key}: {exc}") from None
-        overrides[setting.name] = setting.metadata["check"](key, value)
-
-    config = RunConfig(**overrides)
-    if not config.grid_b > config.grid_a:
-        raise ValidationError("grid.b", f"must exceed grid.a={config.grid_a}, got {config.grid_b}")
-    return config
+        overrides[setting.name] = value
+    return RunConfig(**overrides)
 
 
 def _override(config: RunConfig, name: str, value, *attrs: str) -> RunConfig:
@@ -203,7 +185,8 @@ def _override(config: RunConfig, name: str, value, *attrs: str) -> RunConfig:
                 item = _LITERALS[setting.type](value) if isinstance(value, str) else value
             except _Malformed as exc:
                 raise ValidationError(name, str(exc)) from None
-            changes[setting.name] = setting.metadata["check"](name, item)
+            _check(setting, item, name)
+            changes[setting.name] = item
     return replace(config, **changes)
 
 

@@ -26,10 +26,11 @@ from .spectral import ComplexField, GridSpec, _check_alpha, operator_symbols
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Equation parameters: fractional exponent, nonlinearity, noise amplitude.
+    """Equation parameters: fractional exponent and nonlinearity.
 
     ``lam`` is the nonlinearity sign/strength (+1 defocusing, -1 focusing),
-    ``sigma`` the nonlinearity power, ``epsilon`` the noise amplitude.
+    ``sigma`` the nonlinearity power.  The noise amplitude belongs to the
+    ``NoiseModel``, which applies it to every increment field.
     Construction warns (without failing) when a focusing run (lam < 0) leaves
     the range that guarantees global existence in one dimension,
     sigma < 2*alpha.
@@ -38,14 +39,11 @@ class ModelParams:
     alpha: float
     lam: float
     sigma: float
-    epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         if self.sigma < 0.0:
             raise DomainError(f"nonlinearity power sigma must be >= 0, got {self.sigma}")
-        if self.epsilon < 0.0:
-            raise DomainError(f"noise amplitude epsilon must be >= 0, got {self.epsilon}")
         if self.lam < 0.0 and not self.sigma < 2.0 * self.alpha:
             warnings.warn(
                 f"focusing run with sigma={self.sigma} >= 2*alpha={2 * self.alpha}: "
@@ -210,6 +208,13 @@ class Observer:
 _STEPPERS = {"midpoint": midpoint_step, "splitting": splitting_step}
 
 
+def _stepper(integrator: str):
+    try:
+        return _STEPPERS[integrator]
+    except KeyError:
+        raise DomainError(f"integrator must be one of {tuple(_STEPPERS)}, got {integrator!r}") from None
+
+
 def evolve(
     initial: ComplexField,
     integrator,
@@ -232,10 +237,7 @@ def evolve(
     The steps and the observers see plain length-N arrays.  The one
     ``ComplexField`` built is the returned final state, which checks it once.
     """
-    try:
-        step_fn = _STEPPERS[integrator]
-    except KeyError:
-        raise DomainError(f"integrator must be 'midpoint' or 'splitting', got {integrator!r}") from None
+    step_fn = _stepper(integrator)
     if path.steps > 0 and not math.isclose(path.dt, scheme.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ConfigError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
 

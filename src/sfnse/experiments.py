@@ -86,7 +86,6 @@ def model_from_config(config: RunConfig, alpha: float | None = None) -> ModelPar
         alpha=config.alpha if alpha is None else alpha,
         lam=config.lam,
         sigma=config.sigma,
-        epsilon=config.epsilon,
     )
 
 
@@ -125,20 +124,6 @@ def _horizon_path(config: RunConfig, noise: NoiseModel, seed: int) -> WienerPath
     return sample_wiener_path(noise, _path_steps(config, config.dt), config.dt, seed)
 
 
-def _trajectory(
-    config: RunConfig,
-    grid: GridSpec,
-    noise: NoiseModel,
-    path: WienerPath,
-    integrator: str,
-    model: ModelParams,
-    observers: list[Observer],
-) -> tuple[ComplexField, dict[str, list[tuple[int, float, Any]]]]:
-    """Evolve the sech carrier along ``path`` at scheme.dt."""
-    scheme = scheme_from_config(config)
-    return evolve(sech_carrier_initial(grid), integrator, model, scheme, grid, path, noise, observers)
-
-
 def run_evolution(
     config: RunConfig,
 ) -> tuple[GridSpec, ComplexField, dict[str, list[tuple[int, float, Any]]]]:
@@ -155,7 +140,8 @@ def run_evolution(
     if config.snapshot_stride > 0:
         observers.append(Observer("snap", config.snapshot_stride, lambda s: s))
     path = _horizon_path(config, noise, config.noise_seed)
-    final, records = _trajectory(config, grid, noise, path, config.integrator, model, observers)
+    scheme = scheme_from_config(config)
+    final, records = evolve(sech_carrier_initial(grid), config.integrator, model, scheme, grid, path, noise, observers)
     return grid, final, records
 
 
@@ -169,11 +155,12 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     grid, noise = _grid_and_noise(config)
     stride = steps_for_horizon(config.mass_sample_dt, config.dt, "mass.sample_dt")
     path = _horizon_path(config, noise, config.noise_seed)
+    scheme = scheme_from_config(config)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
         observer = Observer("mass", stride, lambda s: mass(s, grid, "norm"))
         model = model_from_config(config, alpha)
-        _, records = _trajectory(config, grid, noise, path, "midpoint", model, [observer])
+        _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
         rows.extend((time, alpha, value) for _, time, value in records["mass"])
     return rows
 
@@ -278,7 +265,8 @@ def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...
     model = model_from_config(config)
     observer = Observer("energy", config.energy_stride, lambda s: energy(s, grid, model))
     path = _horizon_path(config, noise, path_seed(config.noise_seed, index))
-    _, records = _trajectory(config, grid, noise, path, "midpoint", model, [observer])
+    scheme = scheme_from_config(config)
+    _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
     times = tuple(time for _, time, _ in records["energy"])
     values = np.array([value for _, _, value in records["energy"]])
     return times, values

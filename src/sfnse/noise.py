@@ -55,6 +55,16 @@ class WienerPath:
     increments: np.ndarray
 
 
+# built-in mode families: name -> profiles of the modes l (a column) at the nodes x (a row)
+_PROFILES = {"sin": lambda l, x: np.sin(np.pi * l * x) / l}
+
+
+def _check_profile(profile: str) -> str:
+    if profile not in _PROFILES:
+        raise DomainError(f"unknown built-in profile {profile!r}, expected one of {tuple(_PROFILES)}")
+    return profile
+
+
 def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str = "sin") -> NoiseModel:
     """Sample the noise mode profiles at the grid nodes.
 
@@ -67,20 +77,24 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str
     epsilon = float(epsilon)
     if epsilon < 0.0:
         raise DomainError(f"noise amplitude epsilon must be >= 0, got {epsilon}")
-    if profile != "sin":
-        raise DomainError(f"unknown built-in profile {profile!r}")
+    family = _PROFILES[_check_profile(profile)]
     x = grid.nodes()
     l = np.arange(1, K + 1, dtype=np.float64)[:, None]
-    profiles = np.sin(np.pi * l * x[None, :]) / l
+    profiles = family(l, x[None, :])
     profiles.setflags(write=False)
     return NoiseModel(K, epsilon, profiles)
 
 
-def _philox(seed: int, counter: int = 0) -> np.random.Philox:
+def _check_philox_seed(seed: int) -> int:
+    # Philox keys are 64-bit: a wider seed would alias one below 2^64
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must be a non-negative 64-bit integer, got {seed}")
-    key = np.array([seed, 0], dtype=np.uint64)
+    return seed
+
+
+def _philox(seed: int, counter: int = 0) -> np.random.Philox:
+    key = np.array([_check_philox_seed(seed), 0], dtype=np.uint64)
     return np.random.Philox(key=key, counter=[counter, 0, 0, 0])
 
 

@@ -37,8 +37,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.b > self.a and np.isfinite(self.b - self.a)):
             raise DomainError(f"grid needs finite a < b, got [{self.a}, {self.b})")
-        if self.N % 2 != 0 or self.N < 4:
-            raise DomainError(f"grid needs an even N >= 4, got N={self.N}")
+        _check_grid_n(self.N)
         object.__setattr__(self, "h", (self.b - self.a) / self.N)
         object.__setattr__(self, "mu", 2.0 * np.pi / (self.b - self.a))
 
@@ -49,6 +48,11 @@ class GridSpec:
     def wavenumbers(self) -> np.ndarray:
         """Physical wavenumbers k*mu in DFT ordering k = 0..N/2-1, -N/2..-1."""
         return self.mu * np.fft.fftfreq(self.N, d=1.0 / self.N)
+
+
+def _check_grid_n(N: int) -> None:
+    if N % 2 != 0 or N < 4:
+        raise DomainError(f"grid needs an even N >= 4, got N={N}")
 
 
 def build_grid(a: float, b: float, N: int) -> GridSpec:

@@ -129,7 +129,7 @@ def test_criterion_3_splitting_mass():
     # FFT library carries a measurable ~1.5e-16/step rounding bias that is a
     # platform property, not a scheme property (see the per-step check below)
     grid = build_grid(0.0, 40.0, 512)
-    model = ModelParams(alpha=0.75, lam=-1.0, sigma=0.0, epsilon=0.01)
+    model = ModelParams(alpha=0.75, lam=-1.0, sigma=0.0)
     scheme = SchemeParams(dt=0.01)
     noise = build_noise_model(100, grid, epsilon=0.01)
     path = sample_wiener_path(noise, 10**4, scheme.dt, seed=321)
@@ -187,7 +187,7 @@ def test_criterion_5_symplectic_defect():
             for rep in range(5):
                 state = 0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
                 dW = 0.1 * rng.standard_normal(8)
-                model = ModelParams(alpha=alpha, lam=-1.0, sigma=sigma, epsilon=1.0)
+                model = ModelParams(alpha=alpha, lam=-1.0, sigma=sigma)
                 scheme = SchemeParams(dt=0.02)
                 defect = symplectic_defect(
                     midpoint_step, state, dW, model, scheme, grid, fd_eps=1e-6
@@ -200,7 +200,7 @@ def test_criterion_5_symplectic_defect():
         midpoint_step,
         0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)),
         np.zeros(8),
-        ModelParams(alpha=0.75, lam=0.0, sigma=0.0, epsilon=0.0),
+        ModelParams(alpha=0.75, lam=0.0, sigma=0.0),
         SchemeParams(dt=0.02),
         grid,
         fd_eps=1e-6,
@@ -211,7 +211,7 @@ def test_criterion_5_symplectic_defect():
         splitting_step,
         0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)),
         0.1 * rng.standard_normal(8),
-        ModelParams(alpha=0.75, lam=-1.0, sigma=0.0, epsilon=1.0),
+        ModelParams(alpha=0.75, lam=-1.0, sigma=0.0),
         SchemeParams(dt=0.02),
         grid,
         fd_eps=1e-6,
@@ -341,7 +341,7 @@ def test_criterion_9_noise_refinement():
 def test_criterion_10_field_smoke():
     for alpha, lam in ((0.6, 1.0), (0.95, -1.0)):
         grid = build_grid(-20.0, 20.0, 400)
-        model = ModelParams(alpha=alpha, lam=lam, sigma=1.0, epsilon=0.01)
+        model = ModelParams(alpha=alpha, lam=lam, sigma=1.0)
         scheme = SchemeParams(dt=0.01)
         noise = build_noise_model(100, grid, epsilon=0.01)
         path = sample_wiener_path(noise, 1000, scheme.dt, seed=1618)

@@ -1,5 +1,5 @@
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,23 +82,38 @@ mass.alphas = 0.5, 0.75
             parse_config("model.alpha = 0.5\nmodel.alpha = 0.6")
 
     def test_grid_ordering_validated(self):
-        with pytest.raises(ValidationError) as info:
-            parse_config("grid.a = 5\ngrid.b = -5")
-        assert info.value.key == "grid.b"
+        # -1e308 and 1e308 are each finite, but b - a overflows
+        for a, b in [(5.0, -5.0), (-1e308, 1e308)]:
+            with pytest.raises(ValidationError) as info:
+                parse_config(f"grid.a = {a!r}\ngrid.b = {b!r}")
+            assert info.value.key == "grid.b"
+            with pytest.raises(ValidationError) as info:
+                replace(RunConfig(), grid_a=a, grid_b=b)
+            assert info.value.key == "grid.b"
 
     def test_more_range_checks(self):
-        for text, key in [
-            ("grid.N = 7", "grid.N"),
-            ("scheme.dt = 0", "scheme.dt"),
-            ("noise.K = 0", "noise.K"),
-            ("noise.seed = -3", "noise.seed"),
-            ("noise.seed = 18446744073709551616", "noise.seed"),  # 2^64
-            ("scheme.integrator = rk4", "scheme.integrator"),
-            ("mass.alphas = 0.5, 2.0", "mass.alphas"),
-            ("experiments.workers = 0", "experiments.workers"),
+        names = {setting.metadata["key"]: setting.name for setting in fields(RunConfig)}
+        for key, text, value in [
+            ("grid.N", "7", 7),
+            ("scheme.dt", "0", 0.0),
+            ("model.epsilon", "-0.01", -0.01),
+            ("noise.K", "0", 0),
+            ("noise.seed", "-3", -3),
+            ("noise.seed", "18446744073709551616", 2**64),
+            ("scheme.integrator", "rk4", "rk4"),
+            ("noise.profile", "cos", "cos"),
+            ("mass.alphas", "0.5, 2.0", (0.5, 2.0)),
+            ("experiments.workers", "0", 0),
+            ("energy.n_paths", "0", 0),
+            ("converge.n_paths", "0", 0),
+            ("output.snapshot_stride", "-1", -1),
         ]:
             with pytest.raises(ValidationError) as info:
-                parse_config(text)
+                parse_config(f"{key} = {text}")
+            assert info.value.key == key
+            # a config built in code is refused the same way
+            with pytest.raises(ValidationError) as info:
+                replace(RunConfig(), **{names[key]: value})
             assert info.value.key == key
 
     def test_default_roundtrip(self):

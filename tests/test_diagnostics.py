@@ -119,7 +119,7 @@ class TestL2Error:
 class TestRecord:
     def test_bundles_fields(self):
         g = paper_grid()
-        model = ModelParams(0.6, 1.0, 1.0, 0.01)
+        model = ModelParams(0.6, 1.0, 1.0)
         rec = record_diagnostics(soliton(g), g, model)
         assert rec.mass == pytest.approx(np.sqrt(2.0), rel=1e-14)
         assert rec.max_amplitude == pytest.approx(1.0, rel=1e-12)
@@ -138,7 +138,7 @@ class TestSymplecticDefect:
 
     def test_nonlinear_midpoint_with_frozen_noise(self):
         g = build_grid(0.0, 2.0 * np.pi, 8)
-        model = ModelParams(0.75, -1.0, 1.0, 0.5)
+        model = ModelParams(0.75, -1.0, 1.0)
         scheme = SchemeParams(dt=0.02, fp_tol=1e-14)
         rng = np.random.default_rng(6)
         dW = 0.1 * rng.standard_normal(8)
@@ -149,7 +149,7 @@ class TestSymplecticDefect:
 
     def test_splitting_linear_with_frozen_noise(self):
         g = build_grid(0.0, 2.0 * np.pi, 8)
-        model = ModelParams(0.6, 1.0, 0.0, 1.0)
+        model = ModelParams(0.6, 1.0, 0.0)
         scheme = SchemeParams(dt=0.02)
         rng = np.random.default_rng(8)
         dW = 0.2 * rng.standard_normal(8)

@@ -56,8 +56,6 @@ class TestModelParams:
             ModelParams(alpha=1.5, lam=1.0, sigma=1.0)
         with pytest.raises(DomainError):
             ModelParams(alpha=0.5, lam=1.0, sigma=-1.0)
-        with pytest.raises(DomainError):
-            ModelParams(alpha=0.5, lam=1.0, sigma=0.0, epsilon=-0.01)
 
     def test_focusing_range_warning(self):
         for lam in (-1.0, -0.5):
@@ -128,7 +126,7 @@ class TestMidpoint:
         # state scale chosen so the fixed point contracts well at dt = 0.01
         # even for the quintic nonlinearity
         grid = small_grid()
-        model = ModelParams(alpha=alpha, lam=1.0, sigma=sigma, epsilon=0.5)
+        model = ModelParams(alpha=alpha, lam=1.0, sigma=sigma)
         scheme = SchemeParams(dt=0.01)
         noise = build_noise_model(6, grid, epsilon=0.5)
         path = sample_wiener_path(noise, 20, scheme.dt, seed=23)
@@ -199,7 +197,7 @@ class TestSplitting:
     def test_single_step_mass_exact(self):
         grid = small_grid()
         state = random_state(grid, 10)
-        model = ModelParams(alpha=0.75, lam=-1.0, sigma=0.0, epsilon=1.0)
+        model = ModelParams(alpha=0.75, lam=-1.0, sigma=0.0)
         rng = np.random.default_rng(11)
         dW = 0.3 * rng.standard_normal(grid.N)
         out = splitting_step(state, dW, model, SchemeParams(dt=0.01), grid)
@@ -252,7 +250,7 @@ class TestSplitting:
 class TestEvolve:
     def _setup(self, steps=10, epsilon=0.01, K=4, seed=3):
         grid = small_grid()
-        model = ModelParams(alpha=0.75, lam=1.0, sigma=0.0, epsilon=epsilon)
+        model = ModelParams(alpha=0.75, lam=1.0, sigma=0.0)
         scheme = SchemeParams(dt=0.01)
         noise = build_noise_model(K, grid, epsilon=epsilon)
         path = sample_wiener_path(noise, steps, scheme.dt, seed=seed)
