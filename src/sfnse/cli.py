@@ -35,7 +35,13 @@ from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .output import write_csv, write_snapshot
 from .spectral import ComplexField, apply_frac_laplacian, apply_g_operator, build_grid, materialize_operator, transform
 
+
+class _UsageError(Exception):
+    pass
+
+
 _USAGE_ERRORS = (
+    _UsageError,
     ParseError,
     ValidationError,
     UnknownKeyError,
@@ -47,32 +53,29 @@ _USAGE_ERRORS = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the CLI contract wants 1
     def error(self, message):
         raise _UsageError(message)
 
 
+_FLAGS = {
+    "--config": dict(type=Path, help="config file path"),
+    "--seed": dict(type=int, help="override the noise seed"),
+    "--out": dict(type=Path, help="output directory"),
+    "--quiet": dict(action="store_true", help="suppress progress output"),
+    "--paths": dict(type=int, help="override the Monte Carlo path count"),
+}
+_RUN_FLAGS = ("--config", "--seed", "--out", "--quiet")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sfnse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("evolve", "run a single trajectory and write diagnostics"),
-        ("mass-table", "midpoint mass-conservation table over several exponents"),
-        ("converge", "strong-convergence study of the splitting scheme"),
-        ("energy", "energy ensemble under noise"),
-        ("selftest", "run the quick operator/property battery"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, default=None, help="config file path")
-        cmd.add_argument("--seed", type=int, default=None, help="override the noise seed")
-        cmd.add_argument("--out", type=Path, default=None, help="output directory")
-        cmd.add_argument("--paths", type=int, default=None, help="override the Monte Carlo path count")
-        cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -90,7 +93,7 @@ def _load_config(args) -> RunConfig:
         config = _override(config, "SFNSE_SEED", env_seed, "noise_seed")
     if args.seed is not None:
         config = _override(config, "--seed", args.seed, "noise_seed")
-    if args.paths is not None:
+    if getattr(args, "paths", None) is not None:
         config = _override(config, "--paths", args.paths, "converge_n_paths", "energy_n_paths")
     if args.out is not None:
         config = _override(config, "--out", str(args.out), "out_dir")
@@ -258,11 +261,11 @@ def _cmd_selftest(args) -> int:
 
 
 _COMMANDS = {
-    "evolve": _cmd_evolve,
-    "mass-table": _cmd_mass_table,
-    "converge": _cmd_converge,
-    "energy": _cmd_energy,
-    "selftest": _cmd_selftest,
+    "evolve": (_cmd_evolve, "run a single trajectory and write diagnostics", _RUN_FLAGS),
+    "mass-table": (_cmd_mass_table, "midpoint mass-conservation table over several exponents", _RUN_FLAGS),
+    "converge": (_cmd_converge, "strong-convergence study of the splitting scheme", _RUN_FLAGS + ("--paths",)),
+    "energy": (_cmd_energy, "energy ensemble under noise", _RUN_FLAGS + ("--paths",)),
+    "selftest": (_cmd_selftest, "run the quick operator/property battery", ()),
 }
 
 
@@ -270,10 +273,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _COMMANDS[args.command][0](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

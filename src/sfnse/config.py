@@ -9,16 +9,17 @@ with N = 400, dt = 0.01, defocusing cubic nonlinearity, 100 noise modes at
 amplitude 0.01, horizon T = 10).
 
 Each setting is declared once, as a ``RunConfig`` field: its annotation picks
-the literal parser, and ``_setting`` attaches the dotted key, the range check
-and the one-line comment that ``write_default_config`` renders.  A range rule
-that a solver module owns is that module's checker, not a copy, and
-``RunConfig`` applies every check on construction, so a config built in code
-is refused the same way as a parsed one.
+the literal parser and the type check, and ``_setting`` attaches the dotted
+key, the range check and the one-line comment that ``write_default_config``
+renders.  A range rule that a solver module owns is that module's checker,
+not a copy, and ``RunConfig`` applies every check on construction, so a
+config built in code is refused the same way as a parsed one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from .dynamics import _stepper
@@ -85,9 +86,16 @@ def _setting(key: str, default, comment: str, check=lambda value: None):
     return field(default=default, metadata={"key": key, "comment": comment, "check": check})
 
 
+# field annotation -> admitted values; never a bool, though Python counts it an int
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"), "str": (str, "a string")}
+
+
 def _check(setting, value, name: str) -> None:
-    """Apply the check of field ``setting`` to ``value``; a failure names ``name``."""
+    """Apply the type and range check of field ``setting`` to ``value``; a failure names ``name``."""
+    kind = _KINDS.get(setting.type)
     try:
+        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise DomainError(f"must be {kind[1]}, got {value!r}")
         setting.metadata["check"](value)
     except DomainError as exc:
         raise ValidationError(name, str(exc)) from None

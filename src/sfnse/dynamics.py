@@ -56,9 +56,9 @@ class ModelParams:
 class SchemeParams:
     """Time step and implicit-solver controls.
 
-    ``fp_tol`` bounds the certified residual of the midpoint relation in the
-    discrete l2 norm; ``fp_max_iter`` caps fixed-point evaluations.  dt = 0 is
-    allowed as a degenerate step that returns the state unchanged.
+    ``dt`` must be positive.  ``fp_tol`` bounds the certified residual of the
+    midpoint relation in the discrete l2 norm; ``fp_max_iter`` caps
+    fixed-point evaluations.
     """
 
     dt: float
@@ -66,8 +66,8 @@ class SchemeParams:
     fp_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if self.dt < 0.0:
-            raise DomainError(f"time step dt must be >= 0, got {self.dt}")
+        if self.dt <= 0.0:
+            raise DomainError(f"time step dt must be > 0, got {self.dt}")
         if self.fp_tol <= 0.0:
             raise DomainError(f"fp_tol must be > 0, got {self.fp_tol}")
         if self.fp_max_iter < 1:
@@ -107,12 +107,10 @@ def midpoint_step(
     in the discrete l2 norm (tighter than the 10*fp_tol contract).
 
     Raises NonConvergence when fp_max_iter evaluations do not certify the
-    tolerance, which usually signals that dt is too large.  With dt = 0 the
-    input array itself comes back; ``v`` and ``dW`` are never written.
+    tolerance, which usually signals that dt is too large.  ``v`` and ``dW``
+    are never written.
     """
     dW = _check_step_args(v, dW, grid)
-    if scheme.dt == 0.0:
-        return v
     dt = scheme.dt
     lap = operator_symbols(grid, model.alpha).lap_symbol
     denom = 2.0 + 1j * dt * lap
@@ -125,10 +123,7 @@ def midpoint_step(
     psi_hat = 0.5 * two_phi_hat
     residual = math.inf
     for evals in range(1, scheme.fp_max_iter + 1):
-        if model.lam != 0.0:
-            nl = model.lam * np.abs(psi) ** two_sigma * psi
-        else:
-            nl = 0.0
+        nl = model.lam * np.abs(psi) ** two_sigma * psi
         forcing = np.fft.fft(dt * nl + dW * psi)
         psi_hat_next = (two_phi_hat - 1j * forcing) / denom
         # (2 I + i dt L)(psi_m - psi_{m+1}) = -i dt R(psi_m) for the relation residual R
@@ -175,13 +170,10 @@ def splitting_step(
         u' = exp(-i dt (-Delta)^alpha) [exp(-i dt lam |u|^(2 sigma) - i dW(x)) u].
 
     The phase flow is exact because |u| is invariant along it.  Both factors
-    are unimodular, so the discrete mass is preserved to roundoff.  With
-    dt = 0 the input array itself comes back; ``v`` and ``dW`` are never
-    written.
+    are unimodular, so the discrete mass is preserved to roundoff.  ``v`` and
+    ``dW`` are never written.
     """
     dW = _check_step_args(v, dW, grid)
-    if scheme.dt == 0.0:
-        return v
     dt = scheme.dt
     if model.sigma == 0.0:
         # |u|^0 = 1: skip the abs/pow per step (same bytes)
@@ -238,7 +230,7 @@ def evolve(
     ``ComplexField`` built is the returned final state, which checks it once.
     """
     step_fn = _stepper(integrator)
-    if path.steps > 0 and not math.isclose(path.dt, scheme.dt, rel_tol=1e-12, abs_tol=0.0):
+    if not math.isclose(path.dt, scheme.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ConfigError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
 
     v, t = initial.values, initial.time

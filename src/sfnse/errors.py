@@ -30,6 +30,10 @@ class NonConvergence(RuntimeError):
         self.residual = residual
         self.step = step
 
+    def __reduce__(self):
+        # rebuilt from all four arguments, so it crosses a process pool intact
+        return type(self), (self.args[0], self.iterations, self.residual, self.step)
+
 
 class ConfigError(ValueError):
     """An experiment configuration is internally inconsistent."""

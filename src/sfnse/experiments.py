@@ -43,7 +43,6 @@ class ConvergenceReport:
     errors: tuple[float, ...]
     orders: tuple[float, ...]
     n_paths: int
-    seed: int
     ci_halfwidths: tuple[float, ...]
 
 
@@ -255,7 +254,6 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
         errors=tuple(float(e) for e in errors),
         orders=tuple(float(o) for o in orders),
         n_paths=n_paths,
-        seed=config.noise_seed,
         ci_halfwidths=tuple(float(c) for c in ci),
     )
 

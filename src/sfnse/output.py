@@ -24,8 +24,6 @@ _SNAP_VERSION = 1
 
 def format_value(value) -> str:
     """Render one CSV cell; floats at 17 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

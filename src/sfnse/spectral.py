@@ -89,7 +89,6 @@ class OperatorSymbols:
     be shared freely across workers.
     """
 
-    alpha: float
     lap_symbol: np.ndarray
     g_symbol: np.ndarray
 
@@ -117,7 +116,7 @@ def operator_symbols(grid: GridSpec, alpha: float) -> OperatorSymbols:
     g[grid.N // 2] = 0.0  # odd symbol: the two half-weight Nyquist images cancel
     lap.setflags(write=False)
     g.setflags(write=False)
-    return OperatorSymbols(alpha, lap, g)
+    return OperatorSymbols(lap, g)
 
 
 def _field_values(v, grid: GridSpec) -> np.ndarray:

@@ -70,7 +70,9 @@ def traced_metrics(argv):
 def test_traced_run_counts_one_step_and_one_field_per_path_step(tmp_path, command, text, steps, fields, paths):
     config = tmp_path / "run.cfg"
     config.write_text(text)
-    argv = [command, "--quiet", "--config", str(config), "--out", str(tmp_path / "out"), "--paths", "2"]
+    argv = [command, "--quiet", "--config", str(config), "--out", str(tmp_path / "out")]
+    if command != "evolve":  # evolve runs one trajectory and takes no --paths, as in perfbench
+        argv += ["--paths", "2"]
     layers, fp_evals, grid_builds = traced_metrics(argv)  # a traced name that no longer exists raises LookupError
     assert layers["dynamics.split_calls"] + layers["dynamics.mid_calls"] == steps
     assert layers["noise.field_calls"] == steps

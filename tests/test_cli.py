@@ -109,8 +109,8 @@ class TestSubcommands:
         lines = (tmp_path / "out" / "energy_ensemble.csv").read_text().splitlines()
         assert lines[0] == "time,path_0,path_1,mean"
 
-    def test_selftest(self, tmp_path, capsys):
-        assert run_cli(["selftest"], tmp_path) == 0
+    def test_selftest(self, capsys):
+        assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 8
         assert "FAIL" not in out
@@ -147,7 +147,17 @@ class TestExitCodes:
         assert code == 3
 
     def test_usage_error(self, tmp_path, capsys):
-        assert main(["mass-table", "--paths"]) == 1
+        # selftest takes no flags; --paths belongs to converge and energy only
+        for argv in (
+            ["mass-table", "--paths"],
+            ["energy", "--paths"],
+            ["selftest", "--quiet"],
+            ["selftest", "--config", str(tmp_path / "absent.cfg"), "--paths", "7"],
+            ["evolve", "--paths", "2"],
+            ["mass-table", "--paths", "2"],
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_finite_config_value(self, tmp_path, capsys):
         assert run_cli(["evolve", "--quiet"], tmp_path, FAST_EVOLVE + "model.lambda = nan\n") == 1
@@ -195,6 +205,34 @@ output.snapshot_stride = 0
         code = run_cli(["evolve", "--quiet"], tmp_path, config)
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestWorkers:
+    def test_energy_csv_identical_across_workers(self, tmp_path):
+        for workers in (1, 2):
+            text = FAST_ENERGY + f"experiments.workers = {workers}\n"
+            assert run_cli(["energy", "--quiet", "--out", str(tmp_path / f"w{workers}")], tmp_path, text) == 0
+        assert (tmp_path / "w1" / "energy_ensemble.csv").read_bytes() == (
+            tmp_path / "w2" / "energy_ensemble.csv"
+        ).read_bytes()
+
+    def test_nonconvergence_reported_alike_across_workers(self, tmp_path, capsys):
+        # a path's NonConvergence crosses the process pool with its step intact
+        config = """
+grid.N = 64
+noise.K = 10
+scheme.dt = 5
+horizon.T = 10
+scheme.fp_max_iter = 3
+energy.n_paths = 2
+"""
+        results = []
+        for workers in (1, 2):
+            code = run_cli(["energy", "--quiet"], tmp_path, config + f"experiments.workers = {workers}\n")
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2
+        assert results[0][1].startswith("numerical failure at step 0: ")
 
 
 class TestSeedPlumbing:

@@ -115,6 +115,22 @@ mass.alphas = 0.5, 0.75
             with pytest.raises(ValidationError) as info:
                 replace(RunConfig(), **{names[key]: value})
             assert info.value.key == key
+        # wrong types only code can pass (a file's "1.5" for an integer is a ParseError)
+        for key, value in [
+            ("noise.seed", 1.5),
+            ("grid.N", 64.0),
+            ("noise.K", True),
+            ("scheme.fp_max_iter", "50"),
+            ("scheme.dt", "0.01"),
+            ("model.lambda", False),
+            ("output.dir", 3),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                replace(RunConfig(), **{names[key]: value})
+            assert info.value.key == key
+        # numpy integers are integers, and a float field takes an int
+        config = replace(RunConfig(), noise_seed=np.uint64(7), grid_n=np.int64(64), dt=1, horizon_t=10)
+        assert (config.noise_seed, config.grid_n, config.dt) == (7, 64, 1)
 
     def test_default_roundtrip(self):
         text = write_default_config()

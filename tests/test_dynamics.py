@@ -74,6 +74,8 @@ class TestSchemeParams:
         with pytest.raises(DomainError):
             SchemeParams(dt=-0.1)
         with pytest.raises(DomainError):
+            SchemeParams(dt=0.0)
+        with pytest.raises(DomainError):
             SchemeParams(dt=0.1, fp_tol=0.0)
         with pytest.raises(DomainError):
             SchemeParams(dt=0.1, fp_max_iter=0)
@@ -143,12 +145,6 @@ class TestMidpoint:
         model = ModelParams(alpha=0.75, lam=-1.0, sigma=1.0)
         out = midpoint_step(np.zeros(grid.N, complex), np.zeros(grid.N), model, SchemeParams(dt=0.01), grid)
         assert np.all(out == 0.0)
-
-    def test_dt_zero_returns_state(self):
-        grid = small_grid()
-        state = random_state(grid, 5)
-        out = midpoint_step(state, np.zeros(grid.N), ModelParams(0.75, 1.0, 1.0), SchemeParams(dt=0.0), grid)
-        assert out is state
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:focusing run")
@@ -239,12 +235,6 @@ class TestSplitting:
             errs.append(l2_error(s, ref, grid))
         order = math.log2(errs[0] / errs[1])
         assert order >= 0.8
-
-    def test_dt_zero_returns_state(self):
-        grid = small_grid()
-        state = random_state(grid, 14)
-        out = splitting_step(state, np.zeros(grid.N), ModelParams(0.6, 1.0, 0.0), SchemeParams(dt=0.0), grid)
-        assert out is state
 
 
 class TestEvolve:
