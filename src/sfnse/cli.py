@@ -2,9 +2,10 @@
 
 Subcommands: ``evolve`` (single trajectory plus diagnostics), ``mass-table``,
 ``converge``, ``energy``, and ``selftest`` (quick operator/property battery).
-Exit codes: 0 success, 1 usage or config error, 2 numerical failure, 3 I/O
-error.  The environment variable SFNSE_SEED overrides the config seed;
-an explicit --seed flag overrides both.
+Exit codes: 0 success, 1 usage or config error (``_USAGE_ERRORS``), 2
+numerical failure (``NonConvergence``), 3 I/O error (``IoError``, ``OSError``).
+The environment variable SFNSE_SEED overrides the config seed; an explicit
+--seed flag overrides both.
 """
 
 from __future__ import annotations
@@ -19,18 +20,7 @@ import numpy as np
 from . import experiments
 from .config import RunConfig, _override, parse_config, write_default_config
 from .diagnostics import mass
-from .errors import (
-    ConfigError,
-    DomainError,
-    DivisibilityError,
-    IoError,
-    NonConvergence,
-    ParseError,
-    ShapeError,
-    SizeError,
-    UnknownKeyError,
-    ValidationError,
-)
+from .errors import DomainError, IoError, NonConvergence, ParseError, UnknownKeyError, ValidationError
 from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .output import write_csv, write_snapshot
 from .spectral import ComplexField, apply_frac_laplacian, apply_g_operator, build_grid, materialize_operator, transform
@@ -40,17 +30,7 @@ class _UsageError(Exception):
     pass
 
 
-_USAGE_ERRORS = (
-    _UsageError,
-    ParseError,
-    ValidationError,
-    UnknownKeyError,
-    ConfigError,
-    DomainError,
-    ShapeError,
-    SizeError,
-    DivisibilityError,
-)
+_USAGE_ERRORS = (_UsageError, ParseError, ValidationError, UnknownKeyError, DomainError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -86,15 +86,19 @@ def _setting(key: str, default, comment: str, check=lambda value: None):
     return field(default=default, metadata={"key": key, "comment": comment, "check": check})
 
 
-# field annotation -> admitted values; never a bool, though Python counts it an int
-_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"), "str": (str, "a string")}
+# field annotation -> test of admitted values; never a bool, though Python counts it an int
+_KINDS = {
+    "int": (lambda value: isinstance(value, numbers.Integral), "an integer"),
+    "float": (lambda value: isinstance(value, numbers.Real) and math.isfinite(value), "a finite real number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
 
 
 def _check(setting, value, name: str) -> None:
     """Apply the type and range check of field ``setting`` to ``value``; a failure names ``name``."""
     kind = _KINDS.get(setting.type)
     try:
-        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+        if kind and (isinstance(value, bool) or not kind[0](value)):
             raise DomainError(f"must be {kind[1]}, got {value!r}")
         setting.metadata["check"](value)
     except DomainError as exc:

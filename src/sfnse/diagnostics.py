@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError, DomainError
+from .errors import DomainError
 from .spectral import GridSpec, _field_values, operator_symbols
 from .dynamics import ModelParams, SchemeParams
 
@@ -100,7 +100,7 @@ def symplectic_defect(
     """
     N = grid.N
     if N > SYMPLECTIC_N_MAX:
-        raise SizeError(f"symplectic defect is guarded to N <= {SYMPLECTIC_N_MAX}, got N={N}")
+        raise DomainError(f"symplectic defect is guarded to N <= {SYMPLECTIC_N_MAX}, got N={N}")
     if fd_eps <= 0.0:
         raise DomainError(f"fd_eps must be > 0, got {fd_eps}")
     dW = np.asarray(dW, dtype=np.float64)

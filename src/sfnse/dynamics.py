@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonConvergence, ShapeError
+from .errors import DomainError, NonConvergence
 from .noise import NoiseModel, WienerPath, increment_field
 from .spectral import ComplexField, GridSpec, _check_alpha, operator_symbols
 
@@ -42,8 +42,10 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if self.sigma < 0.0:
-            raise DomainError(f"nonlinearity power sigma must be >= 0, got {self.sigma}")
+        if not -math.inf < self.lam < math.inf:
+            raise DomainError(f"nonlinearity strength lam must be finite, got {self.lam}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise DomainError(f"nonlinearity power sigma must be finite and >= 0, got {self.sigma}")
         if self.lam < 0.0 and not self.sigma < 2.0 * self.alpha:
             warnings.warn(
                 f"focusing run with sigma={self.sigma} >= 2*alpha={2 * self.alpha}: "
@@ -66,20 +68,20 @@ class SchemeParams:
     fp_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise DomainError(f"time step dt must be > 0, got {self.dt}")
-        if self.fp_tol <= 0.0:
-            raise DomainError(f"fp_tol must be > 0, got {self.fp_tol}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"time step dt must be finite and > 0, got {self.dt}")
+        if not 0.0 < self.fp_tol < math.inf:
+            raise DomainError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
         if self.fp_max_iter < 1:
             raise DomainError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
 
 
 def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> np.ndarray:
     if v.shape != (grid.N,):
-        raise ShapeError(f"state length {v.shape} does not match grid N={grid.N}")
+        raise DomainError(f"state length {v.shape} does not match grid N={grid.N}")
     dW = np.asarray(dW, dtype=np.float64)
     if dW.shape != (grid.N,):
-        raise ShapeError(f"noise increment shape {dW.shape} does not match grid N={grid.N}")
+        raise DomainError(f"noise increment shape {dW.shape} does not match grid N={grid.N}")
     return dW
 
 
@@ -231,7 +233,7 @@ def evolve(
     """
     step_fn = _stepper(integrator)
     if not math.isclose(path.dt, scheme.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise ConfigError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
+        raise DomainError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
 
     v, t = initial.values, initial.time
     records: dict[str, list[tuple[int, float, Any]]] = {obs.name: [] for obs in observers}

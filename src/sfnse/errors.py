@@ -1,20 +1,11 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules.
+
+One class per way a caller reacts; ``cli.main`` maps each to one exit code.
+"""
 
 
 class DomainError(ValueError):
-    """A scalar argument lies outside its admissible range."""
-
-
-class ShapeError(ValueError):
-    """An array argument has the wrong length or shape."""
-
-
-class SizeError(ValueError):
-    """A problem size exceeds a guard meant for test-scale dense work."""
-
-
-class DivisibilityError(ValueError):
-    """An integer argument fails a required divisibility relation."""
+    """An argument lies outside its admissible range, shape or size."""
 
 
 class NonConvergence(RuntimeError):
@@ -35,10 +26,6 @@ class NonConvergence(RuntimeError):
         return type(self), (self.args[0], self.iterations, self.residual, self.step)
 
 
-class ConfigError(ValueError):
-    """An experiment configuration is internally inconsistent."""
-
-
 class ParseError(ValueError):
     """Syntax error in a config file, with 1-based line and column."""
 
@@ -49,7 +36,7 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A config value violates a module-level precondition."""
+    """A config value is refused; ``key`` names its config key or override source."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")

@@ -22,7 +22,7 @@ import numpy as np
 from .config import RunConfig
 from .diagnostics import energy, l2_error, mass, record_diagnostics
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
-from .errors import ConfigError, SizeError
+from .errors import ValidationError
 from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
 
@@ -73,10 +73,10 @@ def path_seed(master_seed: int, index: int) -> int:
 
 def steps_for_horizon(T: float, dt: float, key: str) -> int:
     if not math.isfinite(T / dt):
-        raise ConfigError(f"{key}: horizon T={T} over dt={dt} is more steps than a float can count")
+        raise ValidationError(key, f"horizon T={T} over dt={dt} is more steps than a float can count")
     steps = round(T / dt)
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigError(f"{key}: horizon T={T} is not an integral number of steps of dt={dt}")
+        raise ValidationError(key, f"horizon T={T} is not an integral number of steps of dt={dt}")
     return steps
 
 
@@ -98,8 +98,9 @@ def scheme_from_config(config: RunConfig, dt: float | None = None) -> SchemePara
 
 def _grid_and_noise(config: RunConfig) -> tuple[GridSpec, NoiseModel]:
     if config.noise_k * config.grid_n > MAX_TABLE_ENTRIES:
-        raise SizeError(
-            f"noise.K: K={config.noise_k} modes on N={config.grid_n} nodes "
+        raise ValidationError(
+            "noise.K",
+            f"K={config.noise_k} modes on N={config.grid_n} nodes "
             f"need a profile table above {MAX_TABLE_ENTRIES} entries"
         )
     grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
@@ -111,8 +112,9 @@ def _path_steps(config: RunConfig, dt: float) -> int:
     """Steps of dt over horizon.T, refused before any table is allocated if
     the increment table would exceed MAX_TABLE_ENTRIES."""
     if config.horizon_t / dt * config.noise_k > MAX_TABLE_ENTRIES:
-        raise SizeError(
-            f"horizon.T: T={config.horizon_t} at dt={dt} with K={config.noise_k} modes "
+        raise ValidationError(
+            "horizon.T",
+            f"T={config.horizon_t} at dt={dt} with K={config.noise_k} modes "
             f"needs an increment table above {MAX_TABLE_ENTRIES} entries"
         )
     return steps_for_horizon(config.horizon_t, dt, "horizon.T")
@@ -219,20 +221,22 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     of successive errors.
     """
     if config.sigma != 0.0:
-        raise ConfigError("convergence study requires model.sigma = 0")
+        raise ValidationError("model.sigma", "convergence study requires model.sigma = 0")
     levels = config.converge_levels
     if levels < 2:
-        raise ConfigError("converge.levels: convergence study needs at least 2 levels")
+        raise ValidationError("converge.levels", "convergence study needs at least 2 levels")
     if config.converge_ref_level <= levels - 1:
-        raise ConfigError(
-            f"converge.ref_level: reference level {config.converge_ref_level} must be "
+        raise ValidationError(
+            "converge.ref_level",
+            f"reference level {config.converge_ref_level} must be "
             f"strictly finer than the finest test level {levels - 1}"
         )
     # base_dt / 2**ref_level without forming 2**ref_level, which can be past any float
     fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
     if fine_dt == 0.0:
-        raise ConfigError(
-            f"converge.ref_level: base_dt={config.converge_base_dt} halved "
+        raise ValidationError(
+            "converge.ref_level",
+            f"base_dt={config.converge_base_dt} halved "
             f"{config.converge_ref_level} times underflows a float"
         )
     # the finest table is the largest: refuse it here, before paths fan out

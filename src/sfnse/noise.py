@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisibilityError, DomainError, ShapeError
-from .spectral import GridSpec
+from .errors import DomainError
+from .spectral import GridSpec, _check_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -71,12 +71,12 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str
     ``profile`` names the built-in family; "sin" is (1/l) * sin(pi * l * x),
     l = 1..K, sampled at the absolute coordinates of the grid nodes.
     """
-    K = int(K)
+    K = _check_integer(K, "noise K")
     if K < 1:
         raise DomainError(f"noise needs K >= 1 modes, got {K}")
     epsilon = float(epsilon)
-    if epsilon < 0.0:
-        raise DomainError(f"noise amplitude epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"noise amplitude epsilon must be finite and >= 0, got {epsilon}")
     family = _PROFILES[_check_profile(profile)]
     x = grid.nodes()
     l = np.arange(1, K + 1, dtype=np.float64)[:, None]
@@ -87,7 +87,7 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str
 
 def _check_philox_seed(seed: int) -> int:
     # Philox keys are 64-bit: a wider seed would alias one below 2^64
-    seed = int(seed)
+    seed = _check_integer(seed, "seed")
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must be a non-negative 64-bit integer, got {seed}")
     return seed
@@ -203,12 +203,12 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     n*K + l of the keyed Philox raw stream, so any entry can be regenerated
     in isolation (see ``increment_entry``).
     """
-    steps = int(steps)
+    steps = _check_integer(steps, "path steps")
     if steps < 1:
         raise DomainError(f"path needs steps >= 1, got {steps}")
     dt = float(dt)
-    if dt <= 0.0:
-        raise DomainError(f"path needs dt > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"path needs a finite dt > 0, got {dt}")
     raw = _philox(seed).random_raw(steps * model.K)
     z = _normal_from_raw(np.asarray(raw, dtype=np.uint64))
     inc = (math.sqrt(dt) * z).reshape(steps, model.K)
@@ -234,13 +234,13 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
     coarsen(coarsen(p, 2), 2) and coarsen(p, 4) agree bit for bit; any odd
     remainder is folded left to right.  dt is multiplied by the factor.
     """
-    factor = int(factor)
+    factor = _check_integer(factor, "coarsening factor")
     if factor < 1:
         raise DomainError(f"coarsening factor must be >= 1, got {factor}")
     if factor == 1:
         return path
     if path.steps % factor != 0:
-        raise DivisibilityError(f"factor {factor} does not divide steps {path.steps}")
+        raise DomainError(f"factor {factor} does not divide steps {path.steps}")
     inc = path.increments
     remaining = factor
     while remaining % 2 == 0:
@@ -262,11 +262,11 @@ def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec)
     if not 0 <= n < path.steps:
         raise IndexError(f"step index {n} outside 0..{path.steps - 1}")
     if path.increments.shape[1] != model.K:
-        raise ShapeError(
+        raise DomainError(
             f"path carries {path.increments.shape[1]} modes, model has K={model.K}"
         )
     if model.mode_profiles.shape[1] != grid.N:
-        raise ShapeError(
+        raise DomainError(
             f"noise model sampled at N={model.mode_profiles.shape[1]}, grid has N={grid.N}"
         )
     return model.epsilon * (path.increments[n] @ model.mode_profiles)

@@ -9,12 +9,13 @@ and -N/2 images carry half weight each and cancel for the odd symbol.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError
 
 DENSE_N_MAX = 256  # guard for dense operator construction
 
@@ -55,9 +56,16 @@ def _check_grid_n(N: int) -> None:
         raise DomainError(f"grid needs an even N >= 4, got N={N}")
 
 
+def _check_integer(value, name: str) -> int:
+    # a float, even 64.0, is refused: truncating 1.5 to 1 would alias two inputs
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_grid(a: float, b: float, N: int) -> GridSpec:
     """Construct a periodic grid on [a, b) with N nodes."""
-    return GridSpec(float(a), float(b), int(N))
+    return GridSpec(float(a), float(b), _check_integer(N, "grid N"))
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class ComplexField:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
         if v.ndim != 1:
-            raise ShapeError(f"field values must be a 1-D array, got shape {v.shape}")
+            raise DomainError(f"field values must be a 1-D array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DomainError("field contains non-finite values")
         if not np.isfinite(self.time):
@@ -122,7 +130,7 @@ def operator_symbols(grid: GridSpec, alpha: float) -> OperatorSymbols:
 def _field_values(v, grid: GridSpec) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (grid.N,):
-        raise ShapeError(f"field length {v.shape} does not match grid N={grid.N}")
+        raise DomainError(f"field length {v.shape} does not match grid N={grid.N}")
     return v
 
 
@@ -175,7 +183,7 @@ def materialize_operator(grid: GridSpec, alpha: float, which: str) -> np.ndarray
     """
     alpha = _check_alpha(alpha)
     if grid.N > DENSE_N_MAX:
-        raise SizeError(f"dense operators are guarded to N <= {DENSE_N_MAX}, got N={grid.N}")
+        raise DomainError(f"dense operators are guarded to N <= {DENSE_N_MAX}, got N={grid.N}")
     if which not in ("D1", "D2"):
         raise DomainError(f"which must be 'D1' or 'D2', got {which!r}")
     N, mu = grid.N, grid.mu

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import re
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sfnse import experiments
+from sfnse import cli, errors, experiments
 from sfnse.cli import main
 from sfnse.output import read_snapshot
 
@@ -128,6 +130,7 @@ class TestExitCodes:
         )
         one_level = FAST_CONVERGE.replace("converge.levels = 3", "converge.levels = 1")
         coarse_ref = FAST_CONVERGE.replace("converge.ref_level = 4", "converge.ref_level = 2")
+        nonlinear = FAST_CONVERGE.replace("model.sigma = 0", "model.sigma = 1")
         for command, text, key in (
             ("mass-table", "model.alpha = 1.5", "model.alpha"),
             ("mass-table", overflow, "mass.sample_dt"),
@@ -135,9 +138,36 @@ class TestExitCodes:
             ("converge", tiny, "converge.ref_level"),
             ("converge", one_level, "converge.levels"),
             ("converge", coarse_ref, "converge.ref_level"),
+            ("converge", nonlinear, "model.sigma"),
         ):
             assert run_cli([command, "--quiet"], tmp_path, text) == 1
-            assert key in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_every_error_class_has_one_exit_code(self, monkeypatch, capsys):
+        # the exception types of main's except clauses, read from its source
+        source = ast.parse(inspect.getsource(main))
+        handlers = [
+            eval(ast.unparse(node.type), vars(cli)) for node in ast.walk(source) if isinstance(node, ast.ExceptHandler)
+        ]
+        samples = {
+            errors.DomainError: (errors.DomainError("bad"), 1, "error: "),
+            errors.ValidationError: (errors.ValidationError("model.alpha", "bad"), 1, "error: "),
+            errors.ParseError: (errors.ParseError(1, 1, "bad"), 1, "error: "),
+            errors.UnknownKeyError: (errors.UnknownKeyError("model.alhpa"), 1, "error: "),
+            errors.NonConvergence: (errors.NonConvergence("bad", 3, 1.0, step=2), 2, "numerical failure at step 2: "),
+            errors.IoError: (errors.IoError("out", "bad"), 3, "i/o error: "),
+        }
+        defined = {cls for cls in vars(errors).values() if inspect.isclass(cls) and cls.__module__ == errors.__name__}
+        assert defined == set(samples)
+        for cls, (exc, code, prefix) in samples.items():
+            assert sum(issubclass(cls, handler) for handler in handlers) == 1, cls
+
+            def fail(args, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(cli._COMMANDS, "selftest", (fail, "", ()))
+            assert main(["selftest"]) == code
+            assert capsys.readouterr().err.startswith(prefix)
 
     def test_unknown_key(self, tmp_path, capsys):
         assert run_cli(["mass-table"], tmp_path, "model.alhpa = 0.5") == 1

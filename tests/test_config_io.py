@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sfnse.config import RunConfig, parse_config, write_default_config
-from sfnse.errors import IoError, ParseError, ShapeError, UnknownKeyError, ValidationError
+from sfnse.errors import DomainError, IoError, ParseError, UnknownKeyError, ValidationError
 from sfnse.output import format_value, read_snapshot, write_csv, write_snapshot
 from sfnse.spectral import ComplexField, build_grid
 
@@ -115,7 +115,9 @@ mass.alphas = 0.5, 0.75
             with pytest.raises(ValidationError) as info:
                 replace(RunConfig(), **{names[key]: value})
             assert info.value.key == key
-        # wrong types only code can pass (a file's "1.5" for an integer is a ParseError)
+        # wrong types and non-finite floats only code can pass (a file's "1.5"
+        # for an integer, or its "nan", is a ParseError)
+        nan, inf = float("nan"), float("inf")
         for key, value in [
             ("noise.seed", 1.5),
             ("grid.N", 64.0),
@@ -124,6 +126,13 @@ mass.alphas = 0.5, 0.75
             ("scheme.dt", "0.01"),
             ("model.lambda", False),
             ("output.dir", 3),
+            ("model.lambda", nan),
+            ("scheme.dt", inf),
+            ("model.epsilon", inf),
+            ("model.sigma", nan),
+            ("horizon.T", nan),
+            ("scheme.fp_tol", nan),
+            ("converge.base_dt", inf),
         ]:
             with pytest.raises(ValidationError) as info:
                 replace(RunConfig(), **{names[key]: value})
@@ -196,7 +205,7 @@ class TestSnapshot:
         blob = target.read_bytes()
         assert blob[:4] == b"SFNS"
         assert len(blob) == 36 + 16 * 4
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="does not match grid N=8"):
             write_snapshot(target, field, build_grid(0.0, 1.0, 8))
 
     def test_corruption_detected(self, tmp_path):

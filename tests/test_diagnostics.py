@@ -9,7 +9,7 @@ from sfnse.diagnostics import (
     symplectic_defect,
 )
 from sfnse.dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
-from sfnse.errors import DomainError, ShapeError, SizeError
+from sfnse.errors import DomainError
 from sfnse.spectral import build_grid, operator_symbols
 
 
@@ -110,9 +110,9 @@ class TestL2Error:
 
     def test_shape_check(self):
         g = build_grid(0.0, 1.0, 16)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="does not match grid N=16"):
             l2_error(random_state(g, 4), np.zeros(8, complex), g)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="does not match grid N=16"):
             mass(np.zeros(8, complex), g)
 
 
@@ -160,7 +160,7 @@ class TestSymplecticDefect:
 
     def test_size_guard(self):
         g = build_grid(0.0, 1.0, 64)
-        with pytest.raises(SizeError):
+        with pytest.raises(DomainError, match="symplectic defect is guarded to N <= "):
             symplectic_defect(
                 midpoint_step,
                 random_state(g, 10),

@@ -14,7 +14,7 @@ from sfnse.dynamics import (
     midpoint_step,
     splitting_step,
 )
-from sfnse.errors import ConfigError, DomainError, NonConvergence, ShapeError
+from sfnse.errors import DomainError, NonConvergence
 from sfnse.noise import WienerPath, build_noise_model, increment_field, sample_wiener_path
 from sfnse.spectral import ComplexField, build_grid, operator_symbols
 
@@ -56,6 +56,10 @@ class TestModelParams:
             ModelParams(alpha=1.5, lam=1.0, sigma=1.0)
         with pytest.raises(DomainError):
             ModelParams(alpha=0.5, lam=1.0, sigma=-1.0)
+        with pytest.raises(DomainError):
+            ModelParams(0.6, 1.0, sigma=math.nan)
+        with pytest.raises(DomainError):
+            ModelParams(0.6, lam=math.nan, sigma=1.0)
 
     def test_focusing_range_warning(self):
         for lam in (-1.0, -0.5):
@@ -75,6 +79,11 @@ class TestSchemeParams:
             SchemeParams(dt=-0.1)
         with pytest.raises(DomainError):
             SchemeParams(dt=0.0)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                SchemeParams(dt=dt)
+        with pytest.raises(DomainError):
+            SchemeParams(0.01, fp_tol=math.nan)
         with pytest.raises(DomainError):
             SchemeParams(dt=0.1, fp_tol=0.0)
         with pytest.raises(DomainError):
@@ -163,7 +172,7 @@ class TestMidpoint:
         state = random_state(grid, 7)
         for v, dW in ((state, np.zeros(grid.N - 1)), (state[:-2], np.zeros(grid.N))):
             for step in (midpoint_step, splitting_step):
-                with pytest.raises(ShapeError):
+                with pytest.raises(DomainError, match="does not match grid N="):
                     step(v, dW, ModelParams(0.75, 0.0, 0.0), SchemeParams(0.01), grid)
 
 
@@ -287,7 +296,7 @@ class TestEvolve:
 
     def test_dt_mismatch_rejected(self):
         grid, model, scheme, noise, path = self._setup()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="path dt 0.01 does not match scheme dt 0.02"):
             evolve(ComplexField(random_state(grid, 19)), "midpoint", model, SchemeParams(dt=0.02), grid, path, noise)
 
     def test_unknown_integrator(self):

@@ -6,7 +6,7 @@ import pytest
 from sfnse import experiments
 from sfnse.cli import main
 from sfnse.config import parse_config
-from sfnse.errors import ConfigError
+from sfnse.errors import ValidationError
 from sfnse.experiments import (
     _path_steps,
     path_seed,
@@ -104,12 +104,14 @@ class TestConvergence:
         assert all(e < 1e-11 for e in report.errors)
 
     def test_reference_level_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError) as info:
             run_convergence_study(tiny_convergence_config(converge_ref_level=2))
+        assert info.value.key == "converge.ref_level"
 
     def test_sigma_must_be_zero(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError) as info:
             run_convergence_study(tiny_convergence_config(sigma=1.0))
+        assert info.value.key == "model.sigma"
 
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_convergence_study(tiny_convergence_config(workers=1))
@@ -217,10 +219,10 @@ def test_table_guard_admits_every_shipped_config():
     assert len(shipped) >= 6
     for path in shipped:
         config = parse_config(path.read_text(encoding="utf-8"))
-        experiments._grid_and_noise(config)  # raises SizeError past the K x N guard
+        experiments._grid_and_noise(config)  # raises ValidationError past the K x N guard
         fine_dt = config.converge_base_dt / 2**config.converge_ref_level
         for dt in (config.dt, fine_dt):
-            _path_steps(config, dt)  # raises SizeError past the guard
+            _path_steps(config, dt)  # raises ValidationError past the guard
 
 
 def test_path_seed_is_stable_and_distinct():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sfnse.errors import DivisibilityError, DomainError, ShapeError
+from sfnse.errors import DomainError
 from sfnse.noise import (
     NoiseModel,
     WienerPath,
@@ -51,8 +51,9 @@ class TestNoiseModel:
             build_noise_model(0, grid)
         with pytest.raises(DomainError):
             build_noise_model(2, grid, profile="cos")
-        with pytest.raises(DomainError):
-            build_noise_model(1, grid, epsilon=-0.1)
+        for epsilon in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                build_noise_model(1, grid, epsilon=epsilon)
 
 
 class TestSampling:
@@ -93,8 +94,9 @@ class TestSampling:
         model = build_noise_model(1, grid)
         with pytest.raises(DomainError):
             sample_wiener_path(model, 0, 0.1, seed=0)
-        with pytest.raises(DomainError):
-            sample_wiener_path(model, 1, 0.0, seed=0)
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sample_wiener_path(model, 1, dt, seed=0)
         with pytest.raises(DomainError):
             sample_wiener_path(model, 1, 0.1, seed=-1)
 
@@ -186,7 +188,7 @@ class TestCoarsening:
     def test_divisibility(self, grid):
         model = build_noise_model(1, grid)
         path = sample_wiener_path(model, 10, 0.1, seed=9)
-        with pytest.raises(DivisibilityError):
+        with pytest.raises(DomainError, match="factor 3 does not divide steps 10"):
             coarsen_path(path, 3)
 
 
@@ -232,8 +234,23 @@ class TestIncrementField:
         model = build_noise_model(2, grid)
         other = build_grid(0.0, 1.0, 8)
         path = sample_wiener_path(model, 3, 0.1, seed=15)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="noise model sampled at N=400, grid has N=8"):
             increment_field(path, 0, model, other)
+
+
+def test_fractional_integers_refused_not_truncated(grid):
+    # truncating would alias seed 1.5 with seed 1, N = 64.7 with 64, and so on
+    noise = build_noise_model(4, grid)
+    path = sample_wiener_path(noise, 4, 0.01, seed=1)
+    for call in (
+        lambda: sample_wiener_path(noise, 4, 0.01, seed=1.5),
+        lambda: sample_wiener_path(noise, 4.7, 0.01, seed=1),
+        lambda: build_grid(-20, 20, 64.7),
+        lambda: build_noise_model(2.5, grid),
+        lambda: coarsen_path(path, 2.5),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
 
 
 def test_empty_path_constructible_for_degenerate_evolutions():
