@@ -15,13 +15,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .noise import NoiseModel, WienerPath, increment_field
-from .spectral import ComplexField, GridSpec, _check_alpha, operator_symbols
+from .spectral import ComplexField, GridSpec, _check_alpha, _check_integer, operator_symbols
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,24 @@ def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> np.ndarray:
     return dW
 
 
+class _StepSymbols(NamedTuple):
+    flow: np.ndarray  # exp(-i dt L), the splitting step's linear flow
+    gain: np.ndarray  # -i / (2 + i dt L), the midpoint's per-mode inverse applied to a forcing
+    neg_dt_lap: np.ndarray  # -dt L, the midpoint's forcing of its start psi_0 = phi
+
+
+@lru_cache(maxsize=64)
+def _step_symbols(grid: GridSpec, alpha: float, dt: float) -> _StepSymbols:
+    # the dt-dependent symbols of both schemes, built once per (grid, alpha, dt)
+    # rather than per step: exp(-i dt L) alone costs about a quarter of a
+    # splitting step at N = 400
+    lap = operator_symbols(grid, alpha).lap_symbol
+    symbols = _StepSymbols(np.exp(-1j * dt * lap), -1j / (2.0 + 1j * dt * lap), -dt * lap)
+    for symbol in symbols:
+        symbol.setflags(write=False)
+    return symbols
+
+
 def midpoint_step(
     v: np.ndarray,
     dW,
@@ -99,14 +117,18 @@ def midpoint_step(
 
         i (phi' - phi)/dt = L psi + lam |psi|^(2 sigma) psi + psi dW/dt.
 
-    The fixed-point iteration inverts the stiff linear part per mode,
+    The fixed-point iteration inverts the stiff linear part per mode: with
+    the forcing f_m = fft((dt lam |psi_m|^(2 sigma) + dW) psi_m),
 
-        psi_{m+1} = (2 I + i dt L)^(-1) [2 phi - i dt lam |psi_m|^(2s) psi_m - i psi_m dW],
+        (2 I + i dt L) psi^_{m+1} = 2 phi^ - i f_m,
 
     starting from psi_0 = phi, which keeps the contraction factor of order
-    dt*(lam + |dW|/dt) independent of the grid resolution.  The accepted
-    iterate carries a certified residual of the midpoint relation <= fp_tol
-    in the discrete l2 norm (tighter than the 10*fp_tol contract).
+    dt*(lam + |dW|/dt) independent of the grid resolution.  Since psi_m solves
+    the same relation with f_{m-1} (and f_{-1} = -dt L phi^ for the start),
+    the midpoint-relation residual of psi_m is sqrt(h/N)/dt * ||f_m - f_{m-1}||
+    in the discrete l2 norm, read off two successive forcings.  The first
+    iterate whose residual is <= fp_tol is accepted (tighter than the
+    10*fp_tol contract), and phi' = 2 psi_m - phi.
 
     Raises NonConvergence when fp_max_iter evaluations do not certify the
     tolerance, which usually signals that dt is too large.  ``v`` and ``dW``
@@ -114,22 +136,25 @@ def midpoint_step(
     """
     dW = _check_step_args(v, dW, grid)
     dt = scheme.dt
-    lap = operator_symbols(grid, model.alpha).lap_symbol
-    denom = 2.0 + 1j * dt * lap
-    two_phi_hat = 2.0 * np.fft.fft(v)
+    symbols = _step_symbols(grid, model.alpha, dt)
+    phi_hat = np.fft.fft(v)
+    base = 2j * phi_hat * symbols.gain  # 2 phi^ / (2 I + i dt L)
+    lam_dt = model.lam * dt
     two_sigma = 2.0 * model.sigma
-    # ||w||_{l2,h} from raw DFT coefficients: sqrt(h/N) * ||fft(w)||_2
-    coeff_norm = math.sqrt(grid.h / grid.N)
+    # ||w||_{l2,h} from raw DFT coefficients is sqrt(h/N) * ||fft(w)||_2
+    residual_scale = math.sqrt(grid.h / grid.N) / dt
 
     psi = v
-    psi_hat = 0.5 * two_phi_hat
+    forcing_prev = symbols.neg_dt_lap * phi_hat  # f_{-1}: (2 I + i dt L) phi^ = 2 phi^ - i f_{-1}
     residual = math.inf
     for evals in range(1, scheme.fp_max_iter + 1):
-        nl = model.lam * np.abs(psi) ** two_sigma * psi
-        forcing = np.fft.fft(dt * nl + dW * psi)
-        psi_hat_next = (two_phi_hat - 1j * forcing) / denom
-        # (2 I + i dt L)(psi_m - psi_{m+1}) = -i dt R(psi_m) for the relation residual R
-        residual = coeff_norm * np.linalg.norm(denom * (psi_hat - psi_hat_next)) / dt
+        multiplier = np.abs(psi)
+        multiplier **= two_sigma
+        multiplier *= lam_dt
+        multiplier += dW
+        forcing = np.fft.fft(multiplier * psi)
+        change = forcing - forcing_prev
+        residual = residual_scale * math.sqrt(np.vdot(change, change).real)
         if residual <= scheme.fp_tol:
             return 2.0 * psi - v
         if not math.isfinite(residual):
@@ -138,23 +163,14 @@ def midpoint_step(
                 iterations=evals,
                 residual=math.inf,
             )
-        psi_hat = psi_hat_next
-        psi = np.fft.ifft(psi_hat_next)
+        psi = np.fft.ifft(base + symbols.gain * forcing)
+        forcing_prev = forcing
     raise NonConvergence(
         f"midpoint fixed point stalled at residual {residual:.3e} "
         f"after {scheme.fp_max_iter} evaluations (dt too large?)",
         iterations=scheme.fp_max_iter,
         residual=float(residual),
     )
-
-
-@lru_cache(maxsize=64)
-def _linear_flow_factor(grid: GridSpec, alpha: float, dt: float) -> np.ndarray:
-    # exp(-i dt L) costs about a quarter of a splitting step at N = 400, so it
-    # is built once per (grid, alpha, dt) rather than per step
-    factor = np.exp(-1j * dt * operator_symbols(grid, alpha).lap_symbol)
-    factor.setflags(write=False)
-    return factor
 
 
 def splitting_step(
@@ -182,8 +198,7 @@ def splitting_step(
         phase = np.exp(-1j * (dt * model.lam + dW))
     else:
         phase = np.exp(-1j * (dt * model.lam * np.abs(v) ** (2.0 * model.sigma) + dW))
-    linear = _linear_flow_factor(grid, model.alpha, dt)
-    return np.fft.ifft(np.fft.fft(v * phase) * linear)
+    return np.fft.ifft(np.fft.fft(v * phase) * _step_symbols(grid, model.alpha, dt).flow)
 
 
 @dataclass(frozen=True)
@@ -195,7 +210,8 @@ class Observer:
     fn: Callable[[np.ndarray], Any]
 
     def __post_init__(self) -> None:
-        if self.stride < 1:
+        # a fractional stride would fire wherever (n + 1) % stride happens to be 0
+        if _check_integer(self.stride, "observer stride") < 1:
             raise DomainError(f"observer stride must be >= 1, got {self.stride}")
 
 

@@ -196,6 +196,13 @@ def _normal_from_raw(raw):
     return _ndtri(u)
 
 
+def _check_dt(dt: float) -> float:
+    dt = float(dt)
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"path needs a finite dt > 0, got {dt}")
+    return dt
+
+
 def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> WienerPath:
     """Draw the (steps x K) increment table, entries i.i.d. Normal(0, dt).
 
@@ -206,9 +213,7 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     steps = _check_integer(steps, "path steps")
     if steps < 1:
         raise DomainError(f"path needs steps >= 1, got {steps}")
-    dt = float(dt)
-    if not 0.0 < dt < math.inf:
-        raise DomainError(f"path needs a finite dt > 0, got {dt}")
+    dt = _check_dt(dt)
     raw = _philox(seed).random_raw(steps * model.K)
     z = _normal_from_raw(np.asarray(raw, dtype=np.uint64))
     inc = (math.sqrt(dt) * z).reshape(steps, model.K)
@@ -222,7 +227,14 @@ def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float
     Philox emits 4 raw words per counter block, so position i = step*K + mode
     lives at word i % 4 of block i // 4.
     """
-    i = int(step) * int(K) + int(mode)
+    step = _check_integer(step, "step")
+    mode = _check_integer(mode, "mode")
+    K = _check_integer(K, "noise K")
+    if step < 0 or not 0 <= mode < K:
+        # a mode outside 0..K-1 would alias an entry of a neighbouring step
+        raise DomainError(f"entry (step {step}, mode {mode}) lies outside a table of K={K} modes")
+    dt = _check_dt(dt)
+    i = step * K + mode
     raw = _philox(seed, counter=i // 4).random_raw(i % 4 + 1)[-1]
     return math.sqrt(dt) * float(_normal_from_raw(np.uint64(raw)))
 

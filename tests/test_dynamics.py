@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from sfnse import dynamics
+from sfnse.config import parse_config
 from sfnse.diagnostics import l2_error, mass
 from sfnse.dynamics import (
     ModelParams,
@@ -15,8 +18,9 @@ from sfnse.dynamics import (
     splitting_step,
 )
 from sfnse.errors import DomainError, NonConvergence
+from sfnse.experiments import model_from_config, path_seed, scheme_from_config, sech_carrier_initial
 from sfnse.noise import WienerPath, build_noise_model, increment_field, sample_wiener_path
-from sfnse.spectral import ComplexField, build_grid, operator_symbols
+from sfnse.spectral import ComplexField, apply_frac_laplacian, build_grid, operator_symbols
 
 
 def small_grid(N=16):
@@ -48,6 +52,41 @@ def reference_flow(state, model, grid, t_end, rtol=1e-12, atol=1e-13):
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol)
     y = sol.y[:, -1]
     return y[:N] + 1j * y[N:]
+
+
+def midpoint_relation_residual(phi, phi_next, dW, model, dt, grid):
+    """l2_h norm of i(phi' - phi)/dt - L psi - lam |psi|^(2 sigma) psi - psi dW/dt, psi = (phi + phi')/2."""
+    psi = 0.5 * (phi + phi_next)
+    lhs = 1j * (phi_next - phi) / dt
+    nonlinear = model.lam * np.abs(psi) ** (2.0 * model.sigma) * psi
+    rhs = apply_frac_laplacian(psi, grid, model.alpha) + nonlinear + psi * dW / dt
+    return math.sqrt(grid.h * np.sum(np.abs(lhs - rhs) ** 2))
+
+
+def iterate_residual_midpoint(v, dW, model, scheme, grid):
+    """The midpoint fixed-point loop with its residual taken from successive iterates.
+
+    This is the loop ``midpoint_step`` ran before it read the residual off
+    successive forcings.  Returns phi' and the residual of every evaluation,
+    the certifying one last.
+    """
+    dt = scheme.dt
+    lap = operator_symbols(grid, model.alpha).lap_symbol
+    denom = 2.0 + 1j * dt * lap
+    two_phi_hat = 2.0 * np.fft.fft(v)
+    coeff_norm = math.sqrt(grid.h / grid.N)
+    psi, psi_hat = v, 0.5 * two_phi_hat
+    residuals = []
+    for _ in range(scheme.fp_max_iter):
+        nl = model.lam * np.abs(psi) ** (2.0 * model.sigma) * psi
+        forcing = np.fft.fft(dt * nl + dW * psi)
+        psi_hat_next = (two_phi_hat - 1j * forcing) / denom
+        residuals.append(coeff_norm * np.linalg.norm(denom * (psi_hat - psi_hat_next)) / dt)
+        if residuals[-1] <= scheme.fp_tol:
+            return 2.0 * psi - v, residuals
+        psi_hat = psi_hat_next
+        psi = np.fft.ifft(psi_hat_next)
+    raise AssertionError(f"iterate-residual loop did not certify within {scheme.fp_max_iter} evaluations")
 
 
 class TestModelParams:
@@ -167,6 +206,66 @@ class TestMidpoint:
         assert 1 <= info.value.iterations <= 10
         assert info.value.residual > 0.0
 
+    @pytest.mark.parametrize(
+        "lam, sigma, epsilon",
+        # the last case has no forcing at all (f_m = 0), so only the start
+        # forcing f_{-1} = -dt L phi^ stops psi_0 = phi from certifying at once
+        [(-1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 2.0, 0.5), (0.0, 0.0, 0.0)],
+    )
+    def test_certificate_holds_for_the_midpoint_relation(self, lam, sigma, epsilon):
+        # the relation is recomputed from apply_frac_laplacian, not from the
+        # kernel's forcing algebra
+        grid = small_grid(32)
+        model = ModelParams(alpha=0.75, lam=lam, sigma=sigma)
+        scheme = SchemeParams(dt=0.01)
+        noise = build_noise_model(6, grid, epsilon=epsilon)
+        path = sample_wiener_path(noise, 5, scheme.dt, seed=31)
+        state = random_state(grid, 32, scale=0.4)
+        for n in range(path.steps):
+            dW = increment_field(path, n, noise, grid)
+            assert (np.max(np.abs(dW)) > 0.0) == (epsilon > 0.0)
+            nxt = midpoint_step(state, dW, model, scheme, grid)
+            assert midpoint_relation_residual(state, state, dW, model, scheme.dt, grid) > 1e3 * scheme.fp_tol
+            assert midpoint_relation_residual(state, nxt, dW, model, scheme.dt, grid) <= 10 * scheme.fp_tol
+            state = nxt
+
+    def test_certifying_cap_matches_iterate_residual_loop(self):
+        # on the energy-ensemble model, the smallest fp_max_iter that certifies
+        # (found by raising the cap, as perfbench counts evaluations) and the
+        # residual reported below it match the iterate-residual loop's
+        config = parse_config((Path(__file__).resolve().parents[1] / "configs" / "energy_ensemble.cfg").read_text())
+        grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
+        noise = build_noise_model(config.noise_k, grid, epsilon=config.epsilon, profile=config.noise_profile)
+        model = model_from_config(config)
+        scheme = scheme_from_config(config)
+        path = sample_wiener_path(noise, 5, scheme.dt, path_seed(config.noise_seed, 0))
+        state = sech_carrier_initial(grid).values
+        for n in range(path.steps):
+            dW = increment_field(path, n, noise, grid)
+            expected, residuals = iterate_residual_midpoint(state, dW, model, scheme, grid)
+            stalled = []
+            for cap in range(1, scheme.fp_max_iter + 1):
+                try:
+                    nxt = midpoint_step(state, dW, model, dataclasses.replace(scheme, fp_max_iter=cap), grid)
+                except NonConvergence as exc:
+                    stalled.append(exc.residual)
+                    continue
+                break
+            assert len(stalled) + 1 == len(residuals) > 1
+            np.testing.assert_allclose(stalled, residuals[:-1], rtol=1e-6, atol=scheme.fp_tol)
+            np.testing.assert_allclose(nxt, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+            state = nxt
+
+    def test_inputs_never_written(self):
+        # the midpoint builds its multiplier in place; it must never be v or dW
+        grid = small_grid()
+        v = random_state(grid, 33, scale=0.4)
+        dW = 0.1 * np.random.default_rng(34).standard_normal(grid.N)
+        v.setflags(write=False)
+        dW.setflags(write=False)
+        for step in (midpoint_step, splitting_step):
+            step(v, dW, ModelParams(0.75, 1.0, 1.0), SchemeParams(0.01), grid)
+
     def test_shape_checks(self):
         grid = small_grid()
         state = random_state(grid, 7)
@@ -281,6 +380,15 @@ class TestEvolve:
         times = [t for _, t, _ in records["m"]]
         assert times[0] == 0.0
         assert times[1] == pytest.approx(0.03, rel=1e-12)
+
+    def test_observer_stride_validated(self):
+        for stride in (0, -3):
+            with pytest.raises(DomainError, match="stride must be >= 1"):
+                Observer("o", stride, len)
+        # truncating is no answer either: 1.5 would otherwise fire at steps 0, 3, 6
+        for stride in (1.5, 3.0):
+            with pytest.raises(DomainError, match="observer stride must be an integer"):
+                Observer("o", stride, len)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:focusing run")

@@ -99,6 +99,13 @@ class TestSampling:
                 sample_wiener_path(model, 1, dt, seed=0)
         with pytest.raises(DomainError):
             sample_wiener_path(model, 1, 0.1, seed=-1)
+        # the single-entry draw refuses what the table draw refuses
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite dt > 0"):
+                increment_entry(0, 0, 0, K=1, dt=dt)
+        for step, mode in ((-1, 0), (0, -1), (0, 2)):
+            with pytest.raises(DomainError, match="lies outside a table of K=2 modes"):
+                increment_entry(0, step, mode, K=2, dt=0.1)
 
     def test_seed_above_64_bits_rejected_not_aliased(self, grid):
         model = build_noise_model(2, grid)
@@ -248,6 +255,9 @@ def test_fractional_integers_refused_not_truncated(grid):
         lambda: build_grid(-20, 20, 64.7),
         lambda: build_noise_model(2.5, grid),
         lambda: coarsen_path(path, 2.5),
+        lambda: increment_entry(1, 2.5, 0, K=2, dt=0.1),
+        lambda: increment_entry(1, 2, 1.0, K=2, dt=0.1),
+        lambda: increment_entry(1, 2, 0, K=2.0, dt=0.1),
     ):
         with pytest.raises(DomainError, match="must be an integer"):
             call()
