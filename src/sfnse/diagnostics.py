@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import GridSpec, _field_values, operator_symbols
+from .spectral import GridSpec, _fft, _field_values, operator_symbols
 from .dynamics import ModelParams, SchemeParams
 
 SYMPLECTIC_N_MAX = 32  # dense 2N x 2N Jacobian guard
@@ -51,7 +51,7 @@ def energy(v, grid: GridSpec, model: ModelParams) -> float:
         + lam/(2 sigma + 2) * h * sum_j |u_j|^(2 sigma + 2)
     """
     v = _field_values(v, grid)
-    coeffs = np.fft.fft(v) / grid.N
+    coeffs = _fft(v) / grid.N
     lap = operator_symbols(grid, model.alpha).lap_symbol
     kinetic = 0.5 * (grid.b - grid.a) * float(np.sum(lap * np.abs(coeffs) ** 2))
     potential = (

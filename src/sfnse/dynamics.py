@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .noise import NoiseModel, WienerPath, increment_field
-from .spectral import ComplexField, GridSpec, _check_alpha, _check_integer, operator_symbols
+from .spectral import ComplexField, GridSpec, _check_alpha, _check_integer, _fft, _ifft, operator_symbols
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,15 @@ class SchemeParams:
             raise DomainError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
 
 
-def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> np.ndarray:
+def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    # a complex64 state is stepped as its complex128 cast, never in single precision
+    v = np.asarray(v, dtype=np.complex128)
     if v.shape != (grid.N,):
         raise DomainError(f"state length {v.shape} does not match grid N={grid.N}")
     dW = np.asarray(dW, dtype=np.float64)
     if dW.shape != (grid.N,):
         raise DomainError(f"noise increment shape {dW.shape} does not match grid N={grid.N}")
-    return dW
+    return v, dW
 
 
 class _StepSymbols(NamedTuple):
@@ -134,10 +136,10 @@ def midpoint_step(
     tolerance, which usually signals that dt is too large.  ``v`` and ``dW``
     are never written.
     """
-    dW = _check_step_args(v, dW, grid)
+    v, dW = _check_step_args(v, dW, grid)
     dt = scheme.dt
     symbols = _step_symbols(grid, model.alpha, dt)
-    phi_hat = np.fft.fft(v)
+    phi_hat = _fft(v)
     base = 2j * phi_hat * symbols.gain  # 2 phi^ / (2 I + i dt L)
     lam_dt = model.lam * dt
     two_sigma = 2.0 * model.sigma
@@ -152,7 +154,7 @@ def midpoint_step(
         multiplier **= two_sigma
         multiplier *= lam_dt
         multiplier += dW
-        forcing = np.fft.fft(multiplier * psi)
+        forcing = _fft(multiplier * psi)
         change = forcing - forcing_prev
         residual = residual_scale * math.sqrt(np.vdot(change, change).real)
         if residual <= scheme.fp_tol:
@@ -163,7 +165,7 @@ def midpoint_step(
                 iterations=evals,
                 residual=math.inf,
             )
-        psi = np.fft.ifft(base + symbols.gain * forcing)
+        psi = _ifft(base + symbols.gain * forcing)
         forcing_prev = forcing
     raise NonConvergence(
         f"midpoint fixed point stalled at residual {residual:.3e} "
@@ -191,14 +193,14 @@ def splitting_step(
     are unimodular, so the discrete mass is preserved to roundoff.  ``v`` and
     ``dW`` are never written.
     """
-    dW = _check_step_args(v, dW, grid)
+    v, dW = _check_step_args(v, dW, grid)
     dt = scheme.dt
     if model.sigma == 0.0:
         # |u|^0 = 1: skip the abs/pow per step (same bytes)
         phase = np.exp(-1j * (dt * model.lam + dW))
     else:
         phase = np.exp(-1j * (dt * model.lam * np.abs(v) ** (2.0 * model.sigma) + dW))
-    return np.fft.ifft(np.fft.fft(v * phase) * _step_symbols(grid, model.alpha, dt).flow)
+    return _ifft(_fft(v * phase) * _step_symbols(grid, model.alpha, dt).flow)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
@@ -205,6 +204,10 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float) -> n
 def _map_paths(worker, n: int, workers: int) -> list:
     """``worker(i)`` for every path index i < n, in path order, on ``workers`` processes."""
     if workers > 1:
+        # imported here: concurrent.futures.process pulls in multiprocessing,
+        # a cost every serial run would otherwise pay at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, range(n)))
     return [worker(i) for i in range(n)]

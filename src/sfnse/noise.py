@@ -93,9 +93,13 @@ def _check_philox_seed(seed: int) -> int:
     return seed
 
 
+_COUNTER_BLOCKS = 2**256  # Philox-4x64 counts blocks in four 64-bit words
+
+
 def _philox(seed: int, counter: int = 0) -> np.random.Philox:
     key = np.array([_check_philox_seed(seed), 0], dtype=np.uint64)
-    return np.random.Philox(key=key, counter=[counter, 0, 0, 0])
+    # an int counter spans all 256 bits; a word list would be cast to C longs
+    return np.random.Philox(key=key, counter=counter)
 
 
 # AS241 (PPND16) coefficients, highest power first for Horner evaluation:
@@ -225,7 +229,8 @@ def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float
     """Entry (step, mode) of the increment table, without its predecessors.
 
     Philox emits 4 raw words per counter block, so position i = step*K + mode
-    lives at word i % 4 of block i // 4.
+    lives at word i % 4 of block i // 4.  Philox has 2^256 blocks; a
+    position beyond them raises DomainError.
     """
     step = _check_integer(step, "step")
     mode = _check_integer(mode, "mode")
@@ -234,8 +239,10 @@ def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float
         # a mode outside 0..K-1 would alias an entry of a neighbouring step
         raise DomainError(f"entry (step {step}, mode {mode}) lies outside a table of K={K} modes")
     dt = _check_dt(dt)
-    i = step * K + mode
-    raw = _philox(seed, counter=i // 4).random_raw(i % 4 + 1)[-1]
+    block, word = divmod(step * K + mode, 4)
+    if block >= _COUNTER_BLOCKS:
+        raise DomainError(f"entry (step {step}, mode {mode}) lies beyond the 2^256 Philox counter blocks")
+    raw = _philox(seed, counter=block).random_raw(word + 1)[-1]
     return math.sqrt(dt) * float(_normal_from_raw(np.uint64(raw)))
 
 

@@ -17,7 +17,33 @@ import numpy as np
 
 from .errors import DomainError
 
+try:  # the C kernels behind np.fft since numpy 2.0
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:  # numpy < 2.0
+    _pocketfft = None
+
 DENSE_N_MAX = 256  # guard for dense operator construction
+
+
+def _fft(v) -> np.ndarray:
+    """Unnormalised forward DFT along the last axis, in complex128.
+
+    Every transform in the package goes through this pair.  It runs the same
+    kernel with the same scaling as ``np.fft.fft``, so it gives the same
+    bytes, but skips ``np.fft``'s per-call Python bookkeeping.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if _pocketfft is None:
+        return np.fft.fft(v)
+    return _pocketfft.fft(v, 1.0, out=np.empty_like(v))
+
+
+def _ifft(v) -> np.ndarray:
+    """Inverse of ``_fft`` (scaled by 1/n), along the last axis, in complex128."""
+    v = np.asarray(v, dtype=np.complex128)
+    if _pocketfft is None:
+        return np.fft.ifft(v)
+    return _pocketfft.ifft(v, 1.0 / v.shape[-1], out=np.empty_like(v))
 
 
 @dataclass(frozen=True)
@@ -139,13 +165,15 @@ def transform(v, grid: GridSpec, direction: str = "forward") -> np.ndarray:
 
     Forward returns the coefficients u~_k = (1/N) sum_j u_j exp(-i k mu (x_j - a))
     in DFT ordering; inverse is its exact inverse, so a round trip is the
-    identity to roundoff.  Takes and returns length-N arrays.
+    identity to roundoff.  Takes and returns length-N arrays.  Like every
+    transform in the package it runs on numpy's pocketfft kernels directly
+    (``np.fft`` on numpy < 2.0), so its bytes equal those of ``np.fft``.
     """
     v = _field_values(v, grid)
     if direction == "forward":
-        return np.fft.fft(v) / grid.N
+        return _fft(v) / grid.N
     if direction == "inverse":
-        return np.fft.ifft(v) * grid.N
+        return _ifft(v) * grid.N
     raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
@@ -157,7 +185,7 @@ def apply_frac_laplacian(v, grid: GridSpec, alpha: float) -> np.ndarray:
     operator.
     """
     sym = operator_symbols(grid, alpha)
-    return np.fft.ifft(np.fft.fft(_field_values(v, grid)) * sym.lap_symbol)
+    return _ifft(_fft(_field_values(v, grid)) * sym.lap_symbol)
 
 
 def apply_g_operator(v, grid: GridSpec, alpha: float) -> np.ndarray:
@@ -169,7 +197,7 @@ def apply_g_operator(v, grid: GridSpec, alpha: float) -> np.ndarray:
     every Nyquist-free array.  Takes and returns length-N arrays.
     """
     sym = operator_symbols(grid, alpha)
-    return np.fft.ifft(np.fft.fft(_field_values(v, grid)) * sym.g_symbol)
+    return _ifft(_fft(_field_values(v, grid)) * sym.g_symbol)
 
 
 def materialize_operator(grid: GridSpec, alpha: float, which: str) -> np.ndarray:

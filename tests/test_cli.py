@@ -357,3 +357,17 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # a serial run never fans out, so it should not pay for multiprocessing
+    probe = "import sys, sfnse.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

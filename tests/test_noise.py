@@ -118,6 +118,30 @@ class TestSampling:
         assert not np.array_equal(top.increments, sample_wiener_path(model, 4, 0.1, seed=0).increments)
         assert increment_entry(2**64 - 1, 3, 1, K=2, dt=0.1) == top.increments[3, 1]
 
+    def test_table_is_the_keyed_philox_stream(self, grid):
+        model = build_noise_model(3, grid)
+        path = sample_wiener_path(model, 10, 0.02, seed=42)
+        raw = np.random.Philox(key=np.array([42, 0], dtype=np.uint64)).random_raw(30)
+        assert path.increments.tobytes() == (math.sqrt(0.02) * _normal_from_raw(raw)).reshape(10, 3).tobytes()
+
+    @pytest.mark.parametrize(
+        "position",
+        [2**66, 2**66 + 3, 4 * (2**64 - 1) + 3, 4 * (2**64 + 1) + 2, 4 * 2**256 - 1],
+    )
+    def test_entries_past_64_bit_counter_blocks(self, position):
+        # independent oracle: advance a fresh generator by whole blocks
+        bitgen = np.random.Philox(key=np.array([9, 0], dtype=np.uint64))
+        bitgen.advance(position // 4)
+        raw = bitgen.random_raw(position % 4 + 1)[-1]
+        want = math.sqrt(0.1) * float(_normal_from_raw(np.uint64(raw)))
+        assert increment_entry(9, position, 0, K=1, dt=0.1) == want
+        step, mode = divmod(position, 5)
+        assert increment_entry(9, step, mode, K=5, dt=0.1) == want
+
+    def test_entries_past_the_counter_range_refused(self):
+        with pytest.raises(DomainError, match="2\\^256 Philox counter blocks"):
+            increment_entry(0, 4 * 2**256, 0, K=1, dt=0.1)
+
 
 def _uniforms(words):
     # the uniform that _normal_from_raw builds from each raw word

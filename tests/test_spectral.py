@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from sfnse import spectral
+from sfnse.dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
 from sfnse.errors import DomainError
 from sfnse.spectral import (
     ComplexField,
+    _fft,
+    _ifft,
     apply_frac_laplacian,
     apply_g_operator,
     build_grid,
@@ -118,6 +122,47 @@ class TestTransform:
                 op(np.ones(9))
         with pytest.raises(DomainError):
             transform(np.ones(8), g, "sideways")
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _fft_inputs(N):
+    rng = np.random.default_rng(N)
+    real = rng.standard_normal((3, N))
+    stacked = real + 1j * rng.standard_normal((3, N))
+    return [real[0], stacked[0], real, stacked]
+
+
+class TestFftPair:
+    @pytest.mark.parametrize("N", [4, 16, 400, 4096])
+    def test_bit_identical_to_numpy_fft(self, N):
+        for v in _fft_inputs(N):
+            assert _same_bits(_fft(v), np.fft.fft(v))
+            assert _same_bits(_ifft(v), np.fft.ifft(v))
+
+    @pytest.mark.parametrize("N", [4, 400])
+    def test_fallback_without_pocketfft_module_gives_same_bits(self, N, monkeypatch):
+        fast = [(_fft(v), _ifft(v)) for v in _fft_inputs(N)]
+        monkeypatch.setattr(spectral, "_pocketfft", None)
+        for v, (fwd, inv) in zip(_fft_inputs(N), fast):
+            assert _same_bits(_fft(v), fwd)
+            assert _same_bits(_ifft(v), inv)
+
+    def test_complex64_transformed_in_double_precision(self):
+        v = random_field(build_grid(0.0, 1.0, 64), 5).astype(np.complex64)
+        assert _same_bits(_fft(v), np.fft.fft(v.astype(np.complex128)))
+        assert _same_bits(_ifft(v), np.fft.ifft(v.astype(np.complex128)))
+
+    @pytest.mark.parametrize("step", [midpoint_step, splitting_step])
+    def test_complex64_state_steps_as_its_complex128_cast(self, step):
+        grid = build_grid(-20.0, 20.0, 64)
+        v = (np.exp(1j * grid.nodes()) / np.cosh(grid.nodes())).astype(np.complex64)
+        dW = 0.01 * np.sin(grid.nodes())
+        model, scheme = ModelParams(0.75, -1.0, 1.0), SchemeParams(0.01)
+        got = step(v, dW, model, scheme, grid)
+        assert _same_bits(got, step(v.astype(np.complex128), dW, model, scheme, grid))
 
 
 class TestFracLaplacian:
