@@ -241,10 +241,10 @@ def evolve(
 
     ``integrator`` names the step, "midpoint" or "splitting"; each step
     calls it once, after building that step's increment field from ``noise``
-    and the path row.  Observers fire on the initial state and after every
-    stride-th step; records come back per observer name as (step, time,
-    value) tuples in step order.  Step failures are re-raised with the
-    failing step index attached.
+    and the path row.  Observers, which need distinct names, fire on the
+    initial state and after every stride-th step; records come back per
+    observer name as (step, time, value) tuples in step order.  Step
+    failures are re-raised with the failing step index attached.
 
     The steps and the observers see plain length-N arrays.  The one
     ``ComplexField`` built is the returned final state, which checks it once.
@@ -254,9 +254,11 @@ def evolve(
         raise DomainError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
 
     v, t = initial.values, initial.time
-    records: dict[str, list[tuple[int, float, Any]]] = {obs.name: [] for obs in observers}
+    records: dict[str, list[tuple[int, float, Any]]] = {}
     for obs in observers:
-        records[obs.name].append((0, t, obs.fn(v)))
+        if obs.name in records:  # two observers would interleave their rows under one name
+            raise DomainError(f"observer name {obs.name!r} is given twice")
+        records[obs.name] = [(0, t, obs.fn(v))]
     for n in range(path.steps):
         dW = increment_field(path, n, noise, grid)
         try:

@@ -12,6 +12,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
@@ -202,7 +203,9 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float) -> n
 
 
 def _map_paths(worker, n: int, workers: int) -> list:
-    """``worker(i)`` for every path index i < n, in path order, on ``workers`` processes."""
+    """``worker(i)`` for every path index i < n, in path order, on at most ``workers`` processes."""
+    # no more processes than paths or CPUs: under fork all of them start at the first submit
+    workers = min(workers, n, os.cpu_count() or 1)
     if workers > 1:
         # imported here: concurrent.futures.process pulls in multiprocessing,
         # a cost every serial run would otherwise pay at start-up
@@ -223,8 +226,6 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     run, sampled at the coarse level's own step times; orders are log2 ratios
     of successive errors.
     """
-    if config.sigma != 0.0:
-        raise ValidationError("model.sigma", "convergence study requires model.sigma = 0")
     levels = config.converge_levels
     if levels < 2:
         raise ValidationError("converge.levels", "convergence study needs at least 2 levels")

@@ -28,9 +28,10 @@ from sfnse.experiments import (
     run_mass_table,
     sech_carrier_initial,
 )
-from sfnse.noise import build_noise_model, coarsen_path, sample_wiener_path
+from sfnse.noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from sfnse.output import write_csv
 from sfnse.spectral import (
+    ComplexField,
     apply_frac_laplacian,
     apply_g_operator,
     build_grid,
@@ -144,8 +145,6 @@ def test_criterion_3_splitting_mass():
     noise4 = build_noise_model(100, grid4, epsilon=0.01)
     path4 = sample_wiener_path(noise4, 200, scheme.dt, seed=654)
     state = sech_carrier_initial(grid4).values
-    from sfnse.noise import increment_field
-
     for n in range(200):
         nxt = splitting_step(state, increment_field(path4, n, noise4, grid4), model, scheme, grid4)
         drift = abs(mass(nxt, grid4, "squared") - mass(state, grid4, "squared"))
@@ -177,46 +176,97 @@ def test_criterion_4_optional_full_scale():
         )
 
 
-@criterion(5, "symplecticity defect of the one-step maps")
+def explicit_euler_step(v, dW, model, scheme, grid):
+    """Negative control: one explicit Euler step, which is not symplectic."""
+    force = apply_frac_laplacian(v, grid, model.alpha) + model.lam * np.abs(v) ** (2.0 * model.sigma) * v
+    return v - 1j * (scheme.dt * force + dW * v)
+
+
+def dense_symplectic_defect(stepper, v, dW, model, scheme, grid, fd_eps=1e-6):
+    """Reference check: max |J^T Omega J - Omega| over the dense 2N x 2N Jacobian."""
+    N = grid.N
+
+    def flow(x):
+        out = stepper(x[:N] + 1j * x[N:], dW, model, scheme, grid)
+        return np.concatenate([out.real, out.imag])
+
+    x0 = np.concatenate([v.real, v.imag])
+    J = np.empty((2 * N, 2 * N))
+    for i in range(2 * N):
+        step = np.zeros(2 * N)
+        step[i] = fd_eps
+        J[:, i] = (flow(x0 + step) - flow(x0 - step)) / (2.0 * fd_eps)
+    eye, zero = np.eye(N), np.zeros((N, N))
+    omega = np.block([[zero, eye], [-eye, zero]])
+    return float(np.max(np.abs(J.T @ omega @ J - omega)))
+
+
+@criterion(5, "symplecticity defect of the one-step and path flow maps")
 def test_criterion_5_symplectic_defect():
-    grid = build_grid(0.0, 2.0 * np.pi, 8)
-    rng = np.random.default_rng(99)
-    draws = 0
+    # bounds: 1e-5 for the nonlinear midpoint map, 1e-9 for the linear and
+    # splitting maps; explicit Euler must read above 1e-3 on every check
+    grid = build_grid(-20.0, 20.0, 400)
+    noise = build_noise_model(100, grid, epsilon=1.0)
+    path = sample_wiener_path(noise, 10, 0.01, seed=99)
+    initial = sech_carrier_initial(grid)
+    steppers = ((midpoint_step, 1e-5), (splitting_step, 1e-9))
+    checks = 0
     for alpha in (0.6, 0.9):
         for sigma in (0.0, 1.0):
-            for rep in range(5):
-                state = 0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-                dW = 0.1 * rng.standard_normal(8)
-                model = ModelParams(alpha=alpha, lam=-1.0, sigma=sigma)
-                scheme = SchemeParams(dt=0.02)
-                defect = symplectic_defect(
-                    midpoint_step, state, dW, model, scheme, grid, fd_eps=1e-6
-                )
-                assert defect <= 1e-5, f"defect {defect:.3e} (alpha={alpha}, sigma={sigma})"
-                draws += 1
-    assert draws == 20
+            model = ModelParams(alpha=alpha, lam=-1.0, sigma=sigma)
+            scheme = SchemeParams(dt=0.01)
+            for stepper, bound in steppers:
+                # the one-step map at each of the first 5 states of a trajectory
+                state = initial.values
+                for n in range(5):
+                    dW = increment_field(path, n, noise, grid)
+                    defect = symplectic_defect(stepper, state, dW, model, scheme, grid)
+                    where = f"alpha={alpha}, sigma={sigma}, n={n}"
+                    assert defect <= bound, f"{stepper.__name__} defect {defect:.3e} ({where})"
+                    state = stepper(state, dW, model, scheme, grid)
+                    checks += 1
+            dW = increment_field(path, 0, noise, grid)
+            control = symplectic_defect(explicit_euler_step, initial.values, dW, model, scheme, grid)
+            assert control > 1e-3, f"explicit Euler defect {control:.3e} (alpha={alpha}, sigma={sigma})"
+    assert checks == 40
 
+    model = ModelParams(alpha=0.75, lam=-1.0, sigma=1.0)
+    scheme = SchemeParams(dt=0.01)
     linear = symplectic_defect(
-        midpoint_step,
-        0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)),
-        np.zeros(8),
-        ModelParams(alpha=0.75, lam=0.0, sigma=0.0),
-        SchemeParams(dt=0.02),
-        grid,
-        fd_eps=1e-6,
+        midpoint_step, initial.values, np.zeros(grid.N), ModelParams(alpha=0.75, lam=0.0, sigma=0.0), scheme, grid
     )
     assert linear <= 1e-9, f"linear defect {linear:.3e}"
 
-    frozen = symplectic_defect(
-        splitting_step,
-        0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)),
-        0.1 * rng.standard_normal(8),
-        ModelParams(alpha=0.75, lam=-1.0, sigma=0.0),
-        SchemeParams(dt=0.02),
-        grid,
-        fd_eps=1e-6,
-    )
-    assert frozen <= 1e-9, f"splitting defect {frozen:.3e}"
+    # the 10-step flow map of the whole frozen path, through evolve
+    def evolve_flow(integrator):
+        return lambda v, dW, model, scheme, grid: evolve(
+            ComplexField(v), integrator, model, scheme, grid, path, noise
+        )[0].values
+
+    def euler_flow(v, dW, model, scheme, grid):
+        for n in range(path.steps):
+            v = explicit_euler_step(v, increment_field(path, n, noise, grid), model, scheme, grid)
+        return v
+
+    for integrator, bound in (("midpoint", 1e-5), ("splitting", 1e-9)):
+        defect = symplectic_defect(evolve_flow(integrator), initial.values, np.zeros(grid.N), model, scheme, grid)
+        assert defect <= bound, f"{integrator} flow defect {defect:.3e}"
+    control = symplectic_defect(euler_flow, initial.values, np.zeros(grid.N), model, scheme, grid)
+    assert control > 1e-3, f"explicit Euler flow defect {control:.3e}"
+
+    # the dense Jacobian agrees at N = 8
+    small = build_grid(0.0, 2.0 * np.pi, 8)
+    rng = np.random.default_rng(99)
+    state = 0.5 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    dW = 0.1 * rng.standard_normal(8)
+    scheme = SchemeParams(dt=0.02, fp_tol=1e-14)
+    for stepper, bound in steppers:
+        for check in (symplectic_defect, dense_symplectic_defect):
+            defect = check(stepper, state, dW, model, scheme, small)
+            assert defect <= bound, f"{check.__name__} of {stepper.__name__}: {defect:.3e}"
+    for check in (symplectic_defect, dense_symplectic_defect):
+        control = check(explicit_euler_step, state, dW, model, scheme, small)
+        assert control > 1e-3, f"{check.__name__} of explicit Euler: {control:.3e}"
 
 
 @criterion(6, "Cayley unitarity of the linear midpoint factor")

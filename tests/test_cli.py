@@ -130,7 +130,6 @@ class TestExitCodes:
         )
         one_level = FAST_CONVERGE.replace("converge.levels = 3", "converge.levels = 1")
         coarse_ref = FAST_CONVERGE.replace("converge.ref_level = 4", "converge.ref_level = 2")
-        nonlinear = FAST_CONVERGE.replace("model.sigma = 0", "model.sigma = 1")
         for command, text, key in (
             ("mass-table", "model.alpha = 1.5", "model.alpha"),
             ("mass-table", overflow, "mass.sample_dt"),
@@ -138,7 +137,6 @@ class TestExitCodes:
             ("converge", tiny, "converge.ref_level"),
             ("converge", one_level, "converge.levels"),
             ("converge", coarse_ref, "converge.ref_level"),
-            ("converge", nonlinear, "model.sigma"),
         ):
             assert run_cli([command, "--quiet"], tmp_path, text) == 1
             assert capsys.readouterr().err.startswith(f"error: {key}: ")

@@ -135,6 +135,9 @@ class TestSymplecticDefect:
             midpoint_step, random_state(g, 5), np.zeros(8), model, scheme, g, fd_eps=1e-6
         )
         assert defect <= 1e-9
+        for fd_eps in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(DomainError, match="fd_eps must be finite and > 0"):
+                symplectic_defect(midpoint_step, random_state(g, 5), np.zeros(8), model, scheme, g, fd_eps=fd_eps)
 
     def test_nonlinear_midpoint_with_frozen_noise(self):
         g = build_grid(0.0, 2.0 * np.pi, 8)
@@ -158,14 +161,18 @@ class TestSymplecticDefect:
         )
         assert defect <= 1e-9
 
-    def test_size_guard(self):
-        g = build_grid(0.0, 1.0, 64)
-        with pytest.raises(DomainError, match="symplectic defect is guarded to N <= "):
-            symplectic_defect(
-                midpoint_step,
-                random_state(g, 10),
-                np.zeros(64),
-                ModelParams(0.75, 0.0, 0.0),
-                SchemeParams(dt=0.01),
-                g,
-            )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_map_gives_non_finite_defect(self):
+        # explicit Euler on the cubic term at a huge dt: within 10 steps the
+        # images overflow, and the defect must say so rather than read 0
+        g = paper_grid()
+
+        def blow_up(v, dW, model, scheme, grid):
+            for _ in range(10):
+                v = v - 1j * scheme.dt * model.lam * np.abs(v) ** 2 * v
+            return v
+
+        defect = symplectic_defect(
+            blow_up, soliton(g), np.zeros(g.N), ModelParams(0.75, -1.0, 1.0), SchemeParams(dt=10.0), g
+        )
+        assert not np.isfinite(defect)

@@ -389,6 +389,11 @@ class TestEvolve:
         for stride in (1.5, 3.0):
             with pytest.raises(DomainError, match="observer stride must be an integer"):
                 Observer("o", stride, len)
+        # two observers under one name would interleave their rows in one record
+        grid, model, scheme, noise, path = self._setup(steps=4)
+        twins = [Observer("a", 1, len), Observer("b", 1, len), Observer("a", 2, len)]
+        with pytest.raises(DomainError, match="observer name 'a' is given twice"):
+            evolve(ComplexField(random_state(grid, 21)), "splitting", model, scheme, grid, path, noise, twins)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:focusing run")

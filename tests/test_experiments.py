@@ -1,3 +1,4 @@
+import concurrent.futures
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,12 @@ class TestConvergence:
             run_convergence_study(tiny_convergence_config(converge_ref_level=2))
         assert info.value.key == "converge.ref_level"
 
-    def test_sigma_must_be_zero(self):
-        with pytest.raises(ValidationError) as info:
-            run_convergence_study(tiny_convergence_config(sigma=1.0))
-        assert info.value.key == "model.sigma"
+    def test_cubic_nonlinearity_order_one(self):
+        # the splitting step is exact for every sigma >= 0, so the study takes sigma = 1 too
+        report = run_convergence_study(tiny_convergence_config(sigma=1.0))
+        assert report.errors[0] > report.errors[1] > report.errors[2]
+        mean_order = float(np.mean(report.orders))
+        assert 0.85 <= mean_order <= 1.45, f"mean order {mean_order}"
 
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_convergence_study(tiny_convergence_config(workers=1))
@@ -119,6 +122,38 @@ class TestConvergence:
         assert serial.errors == parallel.errors
         assert serial.orders == parallel.orders
         assert serial.ci_halfwidths == parallel.ci_halfwidths
+
+    def test_pool_capped_at_paths_and_cpus(self, monkeypatch):
+        # under fork a pool starts all max_workers processes at the first submit,
+        # so the size is recorded on a stand-in that starts none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cases = (  # (cpu count, workers, paths, pool size or None for a serial run)
+            (4, 1000, 2, 2),
+            (4, 1000, 10, 4),
+            (4, 3, 10, 3),
+            (4, 1000, 1, None),
+            (None, 8, 10, None),
+        )
+        for cpus, workers, n, size in cases:
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert experiments._map_paths(lambda i: i * i, n, workers) == [i * i for i in range(n)]
+            assert sizes == ([] if size is None else [size])
 
     def test_report_reproducible(self):
         a = run_convergence_study(tiny_convergence_config())
