@@ -166,39 +166,32 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float) -> np.ndarray:
+def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine_steps: int) -> np.ndarray:
     """Max-in-time errors of every test level against the reference, one path.
 
-    Each level steps at the dt of its coupled path: fine_dt times its coarsening factor.
+    Each level steps at fine_dt times its coarsening factor; only the reference trajectory is kept.
     """
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
     levels = config.converge_levels
     ref = config.converge_ref_level
-    fine = sample_wiener_path(noise, _path_steps(config, fine_dt), fine_dt, path_seed(config.noise_seed, index))
+    fine = sample_wiener_path(noise, fine_steps, fine_dt, path_seed(config.noise_seed, index))
     initial = sech_carrier_initial(grid)
+
+    def run(path: WienerPath, observer: Observer) -> list:
+        scheme = scheme_from_config(config, path.dt)
+        _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
+        return [value for _, _, value in records[observer.name]]
 
     # reference states stored on the finest test level's time grid, which
     # contains every coarser level's grid
-    ref_stride = 2 ** (ref - (levels - 1))
-    snap = Observer("snap", ref_stride, lambda s: s)
-    _, ref_records = evolve(
-        initial, "splitting", model, scheme_from_config(config, fine.dt), grid, fine, noise, [snap]
-    )
-    ref_states = [state for _, _, state in ref_records["snap"]]
+    ref_states = run(fine, Observer("ref", 2 ** (ref - (levels - 1)), lambda s: s))
 
     errors = np.empty(levels)
     for r in range(levels):
-        path_r = coarsen_path(fine, 2 ** (ref - r))
-        snap_r = Observer("snap", 1, lambda s: s)
-        _, records_r = evolve(
-            initial, "splitting", model, scheme_from_config(config, path_r.dt), grid, path_r, noise, [snap_r]
-        )
-        spacing = 2 ** ((levels - 1) - r)  # level-r times on the stored reference grid
-        errors[r] = max(
-            l2_error(state, ref_states[n * spacing], grid)
-            for n, (_, _, state) in enumerate(records_r["snap"])
-        )
+        refs = iter(ref_states[:: 2 ** ((levels - 1) - r)])  # level-r times on the stored reference grid
+        error = Observer("error", 1, lambda s, refs=refs: l2_error(s, next(refs), grid))
+        errors[r] = max(run(coarsen_path(fine, 2 ** (ref - r)), error))
     return errors
 
 
@@ -244,10 +237,10 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
             f"{config.converge_ref_level} times underflows a float"
         )
     # the finest table is the largest: refuse it here, before paths fan out
-    _path_steps(config, fine_dt)
+    fine_steps = _path_steps(config, fine_dt)
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
     n_paths = config.converge_n_paths
-    worker = partial(_convergence_path_errors, config=config, fine_dt=fine_dt)
+    worker = partial(_convergence_path_errors, config=config, fine_dt=fine_dt, fine_steps=fine_steps)
     per_path = np.array(_map_paths(worker, n_paths, config.workers))
 
     errors = per_path.mean(axis=0)

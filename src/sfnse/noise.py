@@ -30,20 +30,23 @@ _MASK64 = (1 << 64) - 1
 class NoiseModel:
     """Spatial side of the noise: K mode profiles sampled at the grid nodes.
 
-    ``mode_profiles`` has shape (K, N) and is read-only.  ``epsilon`` scales
-    whole noise fields at evaluation time and is never baked into increment
-    tables.  Both schemes consume Stratonovich increments directly, so no Ito
-    correction field is kept.
+    ``mode_profiles`` has shape (K, N), which gives ``K``, and is read-only.
+    ``epsilon`` scales whole noise fields at evaluation time and is never
+    baked into increment tables.  Both schemes consume Stratonovich
+    increments directly, so no Ito correction field is kept.
     """
 
-    K: int
     epsilon: float
     mode_profiles: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return self.mode_profiles.shape[0]
 
 
 @dataclass(frozen=True)
 class WienerPath:
-    """Realized table of Brownian increments, steps rows by K modes.
+    """Realized table of Brownian increments, ``steps`` rows by K modes.
 
     Each entry is Normal(0, dt).  Regenerating with the same seed reproduces
     the table bit for bit; a coarsened path keeps the seed of its fine path.
@@ -51,8 +54,11 @@ class WienerPath:
 
     seed: int
     dt: float
-    steps: int
     increments: np.ndarray
+
+    @property
+    def steps(self) -> int:
+        return self.increments.shape[0]
 
 
 # built-in mode families: name -> profiles of the modes l (a column) at the nodes x (a row)
@@ -82,7 +88,7 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str
     l = np.arange(1, K + 1, dtype=np.float64)[:, None]
     profiles = family(l, x[None, :])
     profiles.setflags(write=False)
-    return NoiseModel(K, epsilon, profiles)
+    return NoiseModel(epsilon, profiles)
 
 
 def _check_philox_seed(seed: int) -> int:
@@ -222,7 +228,7 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     z = _normal_from_raw(np.asarray(raw, dtype=np.uint64))
     inc = (math.sqrt(dt) * z).reshape(steps, model.K)
     inc.setflags(write=False)
-    return WienerPath(int(seed), dt, steps, inc)
+    return WienerPath(int(seed), dt, inc)
 
 
 def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float:
@@ -273,7 +279,7 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
         inc = acc
     inc = np.ascontiguousarray(inc)
     inc.setflags(write=False)
-    return WienerPath(path.seed, path.dt * factor, path.steps // factor, inc)
+    return WienerPath(path.seed, path.dt * factor, inc)
 
 
 def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec) -> np.ndarray:

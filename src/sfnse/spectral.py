@@ -83,8 +83,8 @@ def _check_grid_n(N: int) -> None:
 
 
 def _check_integer(value, name: str) -> int:
-    # a float, even 64.0, is refused: truncating 1.5 to 1 would alias two inputs
-    if not isinstance(value, numbers.Integral):
+    # a float (even 64.0) or a bool is refused: truncating 1.5 to 1 would alias two inputs
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -356,7 +356,7 @@ class TestEvolve:
 
     def test_zero_steps_returns_initial(self):
         grid, model, scheme, noise, _ = self._setup()
-        empty = WienerPath(seed=0, dt=scheme.dt, steps=0, increments=np.empty((0, 4)))
+        empty = WienerPath(seed=0, dt=scheme.dt, increments=np.empty((0, 4)))
         initial = ComplexField(random_state(grid, 15))
         final, records = evolve(initial, "splitting", model, scheme, grid, empty, noise)
         assert np.array_equal(final.values, initial.values) and final.time == initial.time
@@ -386,7 +386,7 @@ class TestEvolve:
             with pytest.raises(DomainError, match="stride must be >= 1"):
                 Observer("o", stride, len)
         # truncating is no answer either: 1.5 would otherwise fire at steps 0, 3, 6
-        for stride in (1.5, 3.0):
+        for stride in (1.5, 3.0, True):
             with pytest.raises(DomainError, match="observer stride must be an integer"):
                 Observer("o", stride, len)
         # two observers under one name would interleave their rows in one record

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,17 +8,22 @@ import pytest
 from sfnse import experiments
 from sfnse.cli import main
 from sfnse.config import parse_config
+from sfnse.diagnostics import l2_error
+from sfnse.dynamics import Observer, evolve
 from sfnse.errors import ValidationError
 from sfnse.experiments import (
+    _grid_and_noise,
     _path_steps,
+    model_from_config,
     path_seed,
     run_convergence_study,
     run_energy_ensemble,
     run_evolution,
     run_mass_table,
+    scheme_from_config,
     sech_carrier_initial,
 )
-from sfnse.noise import sample_wiener_path
+from sfnse.noise import coarsen_path, sample_wiener_path
 from sfnse.output import read_snapshot
 
 
@@ -42,6 +48,34 @@ noise.seed = 4242
     from dataclasses import replace
 
     return replace(config, **overrides) if overrides else config
+
+
+def stored_trajectory_errors(config):
+    """Mean per-level errors computed the long way: store the reference and
+    every level trajectory, then compare level step n with stored reference
+    state n * spacing."""
+    levels, ref = config.converge_levels, config.converge_ref_level
+    fine_dt = math.ldexp(config.converge_base_dt, -ref)
+    per_path = []
+    for index in range(config.converge_n_paths):
+        grid, noise = _grid_and_noise(config)
+        model = model_from_config(config)
+        fine = sample_wiener_path(noise, _path_steps(config, fine_dt), fine_dt, path_seed(config.noise_seed, index))
+        initial = sech_carrier_initial(grid)
+
+        def trajectory(path, stride):
+            scheme = scheme_from_config(config, path.dt)
+            _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [Observer("s", stride, np.copy)])
+            return [state for _, _, state in records["s"]]
+
+        ref_states = trajectory(fine, 2 ** (ref - (levels - 1)))
+        errors = []
+        for r in range(levels):
+            states = trajectory(coarsen_path(fine, 2 ** (ref - r)), 1)
+            spacing = 2 ** ((levels - 1) - r)
+            errors.append(max(l2_error(state, ref_states[n * spacing], grid) for n, state in enumerate(states)))
+        per_path.append(errors)
+    return tuple(float(e) for e in np.array(per_path).mean(axis=0))
 
 
 class TestMassTable:
@@ -154,6 +188,12 @@ class TestConvergence:
             sizes.clear()
             assert experiments._map_paths(lambda i: i * i, n, workers) == [i * i for i in range(n)]
             assert sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize("levels, ref_level", [(3, 5), (3, 3)])  # reference strides 4 and 1
+    def test_streamed_errors_match_stored_trajectories_bit_for_bit(self, levels, ref_level):
+        config = tiny_convergence_config(converge_levels=levels, converge_ref_level=ref_level)
+        report = run_convergence_study(config)
+        assert report.errors == stored_trajectory_errors(config)
 
     def test_report_reproducible(self):
         a = run_convergence_study(tiny_convergence_config())

@@ -33,14 +33,14 @@ class TestNoiseModel:
         assert not model.mode_profiles.flags.writeable
 
     def test_zero_profile(self, grid):
-        model = NoiseModel(1, 0.5, np.zeros((1, 400)))
+        model = NoiseModel(0.5, np.zeros((1, 400)))
         path = sample_wiener_path(model, 4, 0.1, seed=0)
         assert np.all(increment_field(path, 0, model, grid) == 0.0)
 
     def test_two_orthogonal_profiles(self):
         g = build_grid(0.0, 2.0 * np.pi, 16)
         x = g.nodes()
-        model = NoiseModel(2, 0.5, np.stack([np.sin(x), np.cos(x)]))
+        model = NoiseModel(0.5, np.stack([np.sin(x), np.cos(x)]))
         path = sample_wiener_path(model, 3, 0.1, seed=5)
         db = path.increments[2]
         expected = 0.5 * (db[0] * np.sin(x) + db[1] * np.cos(x))
@@ -231,7 +231,7 @@ class TestIncrementField:
 
     def test_single_flat_mode(self):
         g = build_grid(0.0, 1.0, 8)
-        model = NoiseModel(1, 0.25, np.ones((1, 8)))
+        model = NoiseModel(0.25, np.ones((1, 8)))
         path = sample_wiener_path(model, 3, 0.5, seed=11)
         c = path.increments[1, 0]
         assert np.allclose(increment_field(path, 1, model, g), 0.25 * c, atol=0)
@@ -282,11 +282,19 @@ def test_fractional_integers_refused_not_truncated(grid):
         lambda: increment_entry(1, 2.5, 0, K=2, dt=0.1),
         lambda: increment_entry(1, 2, 1.0, K=2, dt=0.1),
         lambda: increment_entry(1, 2, 0, K=2.0, dt=0.1),
+        # a bool is an int to Python, but RunConfig refuses it for these settings
+        lambda: sample_wiener_path(noise, 4, 0.01, seed=True),
+        lambda: sample_wiener_path(noise, True, 0.01, seed=1),
+        lambda: build_grid(-20, 20, True),
+        lambda: build_noise_model(True, grid),
+        lambda: coarsen_path(path, True),
+        lambda: increment_entry(1, True, 0, K=2, dt=0.1),
+        lambda: increment_entry(1, 2, 0, K=True, dt=0.1),
     ):
         with pytest.raises(DomainError, match="must be an integer"):
             call()
 
 
 def test_empty_path_constructible_for_degenerate_evolutions():
-    path = WienerPath(seed=0, dt=0.1, steps=0, increments=np.empty((0, 2)))
+    path = WienerPath(seed=0, dt=0.1, increments=np.empty((0, 2)))
     assert path.steps == 0
