@@ -23,7 +23,7 @@ from .diagnostics import mass
 from .errors import DomainError, IoError, NonConvergence, ParseError, UnknownKeyError, ValidationError
 from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .output import write_csv, write_snapshot
-from .spectral import ComplexField, apply_frac_laplacian, apply_g_operator, build_grid, materialize_operator, transform
+from .spectral import apply_frac_laplacian, apply_g_operator, build_grid, materialize_operator, transform
 
 
 class _UsageError(Exception):
@@ -97,11 +97,12 @@ def _say(args, message: str) -> None:
 def _cmd_evolve(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    grid, final, records = experiments.run_evolution(config)
+    # each snapshot is written as the run reaches it, so a failed run leaves the ones before it
+    grid, final, records = experiments.run_evolution(
+        config, lambda step, field, grid: write_snapshot(out / f"snapshot_{step:06d}.sfns", field, grid)
+    )
     rows = [(t, rec.mass, rec.energy, rec.max_amplitude) for _, t, rec in records["diag"]]
     write_csv(out / "evolve_diagnostics.csv", ["time", "mass", "energy", "max_amplitude"], rows)
-    for step, t, v in records.get("snap", []):
-        write_snapshot(out / f"snapshot_{step:06d}.sfns", ComplexField(v, time=t), grid)
     _say(args, f"evolved to t={final.time:.6g}; mass={mass(final.values, grid):.12g}")
     _say(args, f"wrote {out / 'evolve_diagnostics.csv'}")
     return 0

@@ -5,8 +5,9 @@ fixed-point iteration with the stiff linear part inverted exactly per Fourier
 mode, and an explicit splitting scheme alternating the exact phase/noise flow
 with the exact linear spectral flow.  The midpoint rule consumes Stratonovich
 increments directly (no Ito correction).  Both steps map a length-N array to
-a length-N array, and ``evolve`` hands its observers the same arrays; the
-only ``ComplexField`` it builds is the returned final state.
+a length-N array, and ``evolve`` hands its observers the same arrays, with
+the step and the time they fire at; the only ``ComplexField`` it builds is the
+returned final state.
 """
 
 from __future__ import annotations
@@ -205,11 +206,16 @@ def splitting_step(
 
 @dataclass(frozen=True)
 class Observer:
-    """Named probe of the (read-only) state array at step 0 and after every stride-th step."""
+    """Named probe of the (read-only) state array at step 0 and after every stride-th step.
+
+    ``fn(n, t, v)`` gets the step n, the model time t and the state array v,
+    so a probe can act on the state as it fires (say, write it out) and keep
+    nothing; its return value is recorded.
+    """
 
     name: str
     stride: int
-    fn: Callable[[np.ndarray], Any]
+    fn: Callable[[int, float, np.ndarray], Any]
 
     def __post_init__(self) -> None:
         # a fractional stride would fire wherever (n + 1) % stride happens to be 0
@@ -242,8 +248,9 @@ def evolve(
     ``integrator`` names the step, "midpoint" or "splitting"; each step
     calls it once, after building that step's increment field from ``noise``
     and the path row.  Observers, which need distinct names, fire on the
-    initial state and after every stride-th step; records come back per
-    observer name as (step, time, value) tuples in step order.  Step
+    initial state and after every stride-th step, each called as
+    ``fn(step, time, state)``; records come back per observer name as
+    (step, time, value) tuples in step order.  Step
     failures are re-raised with the failing step index attached.
 
     The steps and the observers see plain length-N arrays.  The one
@@ -258,7 +265,7 @@ def evolve(
     for obs in observers:
         if obs.name in records:  # two observers would interleave their rows under one name
             raise DomainError(f"observer name {obs.name!r} is given twice")
-        records[obs.name] = [(0, t, obs.fn(v))]
+        records[obs.name] = [(0, t, obs.fn(0, t, v))]
     for n in range(path.steps):
         dW = increment_field(path, n, noise, grid)
         try:
@@ -269,5 +276,5 @@ def evolve(
         t = t + scheme.dt
         for obs in observers:
             if (n + 1) % obs.stride == 0:
-                records[obs.name].append((n + 1, t, obs.fn(v)))
+                records[obs.name].append((n + 1, t, obs.fn(n + 1, t, v)))
     return ComplexField(v, time=t), records

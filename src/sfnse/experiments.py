@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,7 +26,10 @@ from .errors import ValidationError
 from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
 
-MAX_TABLE_ENTRIES = 2**25  # steps x K increments or K x N mode profiles: 256 MiB of float64
+# cap on the steps x K increment table and on the K x N profile table: 256 MiB
+# of float64 each.  Both are built in place, so building one peaks at its own
+# size (sampling adds one noise._BLOCK of temporaries, about 2 MB)
+MAX_TABLE_ENTRIES = 2**25
 
 
 @dataclass(frozen=True)
@@ -126,20 +129,25 @@ def _horizon_path(config: RunConfig, noise: NoiseModel, seed: int) -> WienerPath
 
 
 def run_evolution(
-    config: RunConfig,
+    config: RunConfig, snapshot: Callable[[int, ComplexField, GridSpec], Any]
 ) -> tuple[GridSpec, ComplexField, dict[str, list[tuple[int, float, Any]]]]:
     """Single trajectory of ``config.integrator`` on the path of the master seed.
 
     Records come back as from ``evolve``: "diag" holds a DiagnosticsRecord
-    every ``diagnostics_stride`` steps and, unless ``snapshot_stride`` is 0,
-    "snap" holds the state array every ``snapshot_stride`` steps.  Returns the
-    grid, the final state and the records.
+    every ``diagnostics_stride`` steps.  Unless ``snapshot_stride`` is 0,
+    ``snapshot(step, field, grid)`` is called on the state every
+    ``snapshot_stride`` steps as the run reaches it (the CLI writes the file
+    there), and "snap" holds its return values, so no state is kept unless
+    ``snapshot`` returns it.  Returns the grid, the final state and the
+    records.
     """
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
-    observers = [Observer("diag", config.diagnostics_stride, lambda s: record_diagnostics(s, grid, model))]
+    observers = [Observer("diag", config.diagnostics_stride, lambda n, t, v: record_diagnostics(v, grid, model))]
     if config.snapshot_stride > 0:
-        observers.append(Observer("snap", config.snapshot_stride, lambda s: s))
+        observers.append(
+            Observer("snap", config.snapshot_stride, lambda n, t, v: snapshot(n, ComplexField(v, time=t), grid))
+        )
     path = _horizon_path(config, noise, config.noise_seed)
     scheme = scheme_from_config(config)
     final, records = evolve(sech_carrier_initial(grid), config.integrator, model, scheme, grid, path, noise, observers)
@@ -159,7 +167,7 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     scheme = scheme_from_config(config)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
-        observer = Observer("mass", stride, lambda s: mass(s, grid, "norm"))
+        observer = Observer("mass", stride, lambda n, t, v: mass(v, grid, "norm"))
         model = model_from_config(config, alpha)
         _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
         rows.extend((time, alpha, value) for _, time, value in records["mass"])
@@ -185,20 +193,27 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine
 
     # reference states stored on the finest test level's time grid, which
     # contains every coarser level's grid
-    ref_states = run(fine, Observer("ref", 2 ** (ref - (levels - 1)), lambda s: s))
+    ref_states = run(fine, Observer("ref", 2 ** (ref - (levels - 1)), lambda n, t, v: v))
 
     errors = np.empty(levels)
     for r in range(levels):
         refs = iter(ref_states[:: 2 ** ((levels - 1) - r)])  # level-r times on the stored reference grid
-        error = Observer("error", 1, lambda s, refs=refs: l2_error(s, next(refs), grid))
+        error = Observer("error", 1, lambda n, t, v, refs=refs: l2_error(v, next(refs), grid))
         errors[r] = max(run(coarsen_path(fine, 2 ** (ref - r)), error))
     return errors
 
 
+def _usable_cpus() -> int:
+    # os.cpu_count() also counts CPUs that an affinity mask or cpuset keeps this process off
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_paths(worker, n: int, workers: int) -> list:
     """``worker(i)`` for every path index i < n, in path order, on at most ``workers`` processes."""
-    # no more processes than paths or CPUs: under fork all of them start at the first submit
-    workers = min(workers, n, os.cpu_count() or 1)
+    # no more processes than paths or usable CPUs: under fork all of them start at the first submit
+    workers = min(workers, n, _usable_cpus())
     if workers > 1:
         # imported here: concurrent.futures.process pulls in multiprocessing,
         # a cost every serial run would otherwise pay at start-up
@@ -262,7 +277,7 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
 def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...], np.ndarray]:
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
-    observer = Observer("energy", config.energy_stride, lambda s: energy(s, grid, model))
+    observer = Observer("energy", config.energy_stride, lambda n, t, v: energy(v, grid, model))
     path = _horizon_path(config, noise, path_seed(config.noise_seed, index))
     scheme = scheme_from_config(config)
     _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])

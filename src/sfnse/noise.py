@@ -61,8 +61,17 @@ class WienerPath:
         return self.increments.shape[0]
 
 
-# built-in mode families: name -> profiles of the modes l (a column) at the nodes x (a row)
-_PROFILES = {"sin": lambda l, x: np.sin(np.pi * l * x) / l}
+def _sin_profiles(l, x):
+    # np.sin(np.pi * l * x) / l, built in its one (K, N) array
+    profiles = np.pi * l * x
+    np.sin(profiles, out=profiles)
+    profiles /= l
+    return profiles
+
+
+# built-in mode families: name -> profiles of the modes l (a column) at the
+# nodes x (a row), built in place so that the (K, N) table is the peak
+_PROFILES = {"sin": _sin_profiles}
 
 
 def _check_profile(profile: str) -> str:
@@ -143,9 +152,10 @@ _FAR_DEN = (
 )
 
 
-# entries per pass of _ndtri_block, so that its temporaries (4 x 256 KB) stay
-# in L2 cache: on a Xeon with 2 MB L2 per core this made a 128,000-entry table
-# about 1.4x faster than a single pass over the whole table
+# entries per pass of sample_wiener_path (raw words, uniforms, _ndtri_block),
+# so that the temporaries (4 x 256 KB) stay in L2 cache: on a Xeon with 2 MB
+# L2 per core this made a 128,000-entry table about 1.4x faster than a single
+# pass over the whole table, and a table costs its own size plus one block.
 _BLOCK = 32768
 
 
@@ -164,13 +174,12 @@ def _ndtri(u):
     Wichura states a relative accuracy of about 1e-16 (for the measured
     figure see the module docstring).  The central rational function is
     evaluated on every entry, the log/sqrt tail branch only on the entries
-    with |u - 0.5| > 0.425 (about 15 % of uniform input).  Accepts 0-d input.
+    with |u - 0.5| > 0.425 (about 15 % of uniform input), in one pass over u.
+    Accepts 0-d input.
     """
     u = np.asarray(u, dtype=np.float64)
-    flat = u.reshape(-1)
-    z = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        _ndtri_block(flat[start : start + _BLOCK], z[start : start + _BLOCK])
+    z = np.empty(u.size)
+    _ndtri_block(u.reshape(-1), z)
     return z.reshape(u.shape)
 
 
@@ -198,12 +207,15 @@ def _ndtri_block(u, out):
     out[...] = z
 
 
+def _uniform_from_raw(raw):
+    # one raw 64-bit word -> uniform in (0, 1); fixed consumption keeps the
+    # (step, mode) -> counter map invertible.  The top word rounds to u = 1.0,
+    # so u is clamped to the largest double below 1.
+    return np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
+
+
 def _normal_from_raw(raw):
-    # one raw 64-bit word -> uniform in (0, 1) -> inverse normal CDF; fixed
-    # consumption keeps the (step, mode) -> counter map invertible.  The top
-    # word rounds to u = 1.0, so u is clamped to the largest double below 1.
-    u = np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
-    return _ndtri(u)
+    return _ndtri(_uniform_from_raw(raw))
 
 
 def _check_dt(dt: float) -> float:
@@ -224,9 +236,14 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     if steps < 1:
         raise DomainError(f"path needs steps >= 1, got {steps}")
     dt = _check_dt(dt)
-    raw = _philox(seed).random_raw(steps * model.K)
-    z = _normal_from_raw(np.asarray(raw, dtype=np.uint64))
-    inc = (math.sqrt(dt) * z).reshape(steps, model.K)
+    inc = np.empty((steps, model.K))
+    flat = inc.reshape(-1)
+    words = _philox(seed)
+    # the raw stream one block at a time, each block's deviates written in place
+    for start in range(0, flat.size, _BLOCK):
+        stop = min(start + _BLOCK, flat.size)
+        _ndtri_block(_uniform_from_raw(words.random_raw(stop - start)), flat[start:stop])
+    inc *= math.sqrt(dt)
     inc.setflags(write=False)
     return WienerPath(int(seed), dt, inc)
 

@@ -234,6 +234,33 @@ output.snapshot_stride = 0
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_failed_evolve_leaves_the_snapshots_it_reached(self, tmp_path, capsys):
+        # six fixed-point evaluations certify steps 0..3 of this noisy run, not step 4
+        config = """
+grid.N = 64
+noise.K = 10
+model.epsilon = 1
+horizon.T = 0.2
+scheme.fp_tol = 3e-5
+scheme.fp_max_iter = 6
+output.snapshot_stride = 2
+output.diagnostics_stride = 2
+"""
+        code = run_cli(["evolve", "--quiet"], tmp_path, config)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure at step 4: ")
+        # snapshots are written as they fire: those of steps 0, 2 and 4 are on
+        # disk, the diagnostics table (written after the run) is not
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "snapshot_000000.sfns",
+            "snapshot_000002.sfns",
+            "snapshot_000004.sfns",
+        ]
+        _, field = read_snapshot(out / "snapshot_000004.sfns")
+        assert field.time == 0.01 + 0.01 + 0.01 + 0.01
+        assert np.all(np.isfinite(field.values))
+
 
 class TestWorkers:
     def test_energy_csv_identical_across_workers(self, tmp_path):

@@ -365,7 +365,7 @@ class TestEvolve:
     def test_splitting_mass_series_constant(self):
         grid, model, scheme, noise, path = self._setup(steps=1000)
         initial = ComplexField(random_state(grid, 16))
-        obs = Observer("mass", 100, lambda s: mass(s, grid, "norm"))
+        obs = Observer("mass", 100, lambda n, t, v: mass(v, grid, "norm"))
         _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
         values = [v for _, _, v in records["mass"]]
         assert len(values) == 11
@@ -373,10 +373,14 @@ class TestEvolve:
 
     def test_observer_stride_and_times(self):
         grid, model, scheme, noise, path = self._setup(steps=10)
-        obs = Observer("m", 3, lambda s: mass(s, grid))
-        _, records = evolve(ComplexField(random_state(grid, 17)), "midpoint", model, scheme, grid, path, noise, [obs])
+        obs = Observer("m", 3, lambda n, t, v: mass(v, grid))
+        fired = Observer("fired", 3, lambda n, t, v: (n, t))  # fn gets the step and time it fires at
+        _, records = evolve(
+            ComplexField(random_state(grid, 17)), "midpoint", model, scheme, grid, path, noise, [obs, fired]
+        )
         steps = [n for n, _, _ in records["m"]]
         assert steps == [0, 3, 6, 9]
+        assert [value for _, _, value in records["fired"]] == [(n, t) for n, t, _ in records["m"]]
         times = [t for _, t, _ in records["m"]]
         assert times[0] == 0.0
         assert times[1] == pytest.approx(0.03, rel=1e-12)
@@ -384,14 +388,14 @@ class TestEvolve:
     def test_observer_stride_validated(self):
         for stride in (0, -3):
             with pytest.raises(DomainError, match="stride must be >= 1"):
-                Observer("o", stride, len)
+                Observer("o", stride, lambda n, t, v: None)
         # truncating is no answer either: 1.5 would otherwise fire at steps 0, 3, 6
         for stride in (1.5, 3.0, True):
             with pytest.raises(DomainError, match="observer stride must be an integer"):
-                Observer("o", stride, len)
+                Observer("o", stride, lambda n, t, v: None)
         # two observers under one name would interleave their rows in one record
         grid, model, scheme, noise, path = self._setup(steps=4)
-        twins = [Observer("a", 1, len), Observer("b", 1, len), Observer("a", 2, len)]
+        twins = [Observer(name, stride, lambda n, t, v: None) for name, stride in (("a", 1), ("b", 1), ("a", 2))]
         with pytest.raises(DomainError, match="observer name 'a' is given twice"):
             evolve(ComplexField(random_state(grid, 21)), "splitting", model, scheme, grid, path, noise, twins)
 
@@ -438,7 +442,7 @@ class TestEvolve:
         for stride in (1, 3):
             built.clear()
             seen = []
-            obs = Observer("seen", stride, seen.append)
+            obs = Observer("seen", stride, lambda n, t, v: seen.append(v))
             final, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
             assert len(built) == 1 and built[0] is final
             assert np.array_equal(final.values, v) and final.time == t

@@ -65,7 +65,8 @@ def stored_trajectory_errors(config):
 
         def trajectory(path, stride):
             scheme = scheme_from_config(config, path.dt)
-            _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [Observer("s", stride, np.copy)])
+            observer = Observer("s", stride, lambda n, t, v: v.copy())
+            _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
             return [state for _, _, state in records["s"]]
 
         ref_states = trajectory(fine, 2 ** (ref - (levels - 1)))
@@ -176,15 +177,24 @@ class TestConvergence:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cases = (  # (cpu count, workers, paths, pool size or None for a serial run)
-            (4, 1000, 2, 2),
-            (4, 1000, 10, 4),
-            (4, 3, 10, 3),
-            (4, 1000, 1, None),
-            (None, 8, 10, None),
+        # the affinity mask, not the machine's CPU count, bounds the pool
+        cases = (  # (cpu count, usable CPUs, workers, paths, pool size or None for a serial run)
+            (8, 4, 1000, 2, 2),
+            (8, 4, 1000, 10, 4),
+            (8, 4, 3, 10, 3),
+            (8, 4, 1000, 1, None),
+            (8, 1, 8, 10, None),
+            (None, 2, 8, 10, 2),
+            (4, None, 1000, 10, 4),  # usable None: no sched_getaffinity (macOS, Windows)
+            (4, None, 3, 10, 3),
+            (None, None, 8, 10, None),
         )
-        for cpus, workers, n, size in cases:
+        for cpus, usable, workers, n, size in cases:
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+            if usable is None:
+                monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
             sizes.clear()
             assert experiments._map_paths(lambda i: i * i, n, workers) == [i * i for i in range(n)]
             assert sizes == ([] if size is None else [size])
@@ -256,32 +266,33 @@ class TestFieldEvolution:
         return sorted(p.name for p in out.glob("*.sfns"))
 
     def test_snapshots_finite_bounded_and_written(self, tmp_path):
-        grid, final, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=5)))
-        snapshots = records["snap"]
-        assert [step for step, _, _ in snapshots] == [0, 5, 10]
-        assert np.array_equal(snapshots[-1][2], final.values)
-        peak0 = np.max(np.abs(sech_carrier_initial(grid).values))
-        for _, _, state in snapshots:
-            assert np.all(np.isfinite(state))
-            assert np.max(np.abs(state)) <= 2.0 * peak0
+        grid, final, _ = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=5)), lambda *args: None)
         names = self._cli_snapshots(tmp_path, 5, tmp_path / "snaps")
         assert names == ["snapshot_000000.sfns", "snapshot_000005.sfns", "snapshot_000010.sfns"]
-        _, written = read_snapshot(tmp_path / "snaps" / names[-1])
-        assert np.array_equal(written.values, final.values)
+        snapshots = [read_snapshot(tmp_path / "snaps" / name) for name in names]
+        assert np.array_equal(snapshots[-1][1].values, final.values)
+        peak0 = np.max(np.abs(sech_carrier_initial(grid).values))
+        for written_grid, state in snapshots:
+            assert written_grid == grid
+            assert np.all(np.isfinite(state.values))
+            assert np.max(np.abs(state.values)) <= 2.0 * peak0
+
+    def test_snapshot_callable_fires_as_the_run_steps(self):
+        config = parse_config(EVOLVE_CONFIG.format(stride=5))
+        # a callable that returns what it is given keeps the states; the CLI's writer keeps none
+        grid, final, records = run_evolution(config, lambda step, field, g: (step, field, g))
+        assert [n for n, _, _ in records["snap"]] == [0, 5, 10]
+        for n, t, (step, field, g) in records["snap"]:
+            assert (step, field.time, g) == (n, t, grid)
+        assert np.array_equal(records["snap"][-1][2][1].values, final.values)
 
     def test_zero_stride_empty_series(self, tmp_path):
-        _, _, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=0)))
+        _, _, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=0)), lambda *args: args)
         assert "snap" not in records
         assert self._cli_snapshots(tmp_path, 0, tmp_path / "out") == []
         assert (tmp_path / "out" / "evolve_diagnostics.csv").exists()
 
     def test_snapshot_files_bit_identical_across_reruns(self, tmp_path):
-        config = parse_config(EVOLVE_CONFIG.format(stride=5))
-        _, _, a = run_evolution(config)
-        _, _, b = run_evolution(config)
-        for (st_a, _, f_a), (st_b, _, f_b) in zip(a["snap"], b["snap"], strict=True):
-            assert st_a == st_b
-            assert np.array_equal(f_a, f_b)
         names = self._cli_snapshots(tmp_path, 5, tmp_path / "a")
         assert names == self._cli_snapshots(tmp_path, 5, tmp_path / "b")
         for name in names:

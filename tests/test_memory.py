@@ -1,0 +1,67 @@
+"""Peak memory tracks a run's state and noise table, not its output.
+
+Peaks are read with the standard library's ``tracemalloc``, which numpy
+reports its array buffers to; each bound sits between the bounded-memory
+build and the whole-array build it replaced.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from sfnse.cli import main
+from sfnse.noise import build_noise_model, sample_wiener_path
+from sfnse.output import read_snapshot
+from sfnse.spectral import build_grid
+
+MB = 2**20
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_peaks_at_the_table_plus_one_block():
+    # 10^6 entries: one pass held raw words, uniforms, deviates and the scaled
+    # copy at once (about 3.3 tables); block by block it is the table plus
+    # one block's temporaries
+    model = build_noise_model(10, build_grid(0.0, 40.0, 64))
+    peak, path = traced_peak(lambda: sample_wiener_path(model, 10**5, 0.01, seed=3))
+    table = path.increments.nbytes
+    assert table >= 8 * 10**6
+    assert peak < table + 3 * MB
+
+
+def test_profiles_peak_at_the_table():
+    # sin(pi l x) / l as one expression held two (K, N) arrays at once
+    grid = build_grid(0.0, 40.0, 2048)
+    peak, model = traced_peak(lambda: build_noise_model(500, grid))
+    table = model.mode_profiles.nbytes
+    assert peak < table + 1 * MB
+
+
+def test_evolve_peak_does_not_grow_with_its_snapshots(tmp_path):
+    # 201 snapshots of N = 1024 are 3.2 MB of states; written as they fire,
+    # none of them is held, so the run peaks below half of that
+    n, snapshots = 1024, 201
+    config = tmp_path / "evolve.cfg"
+    config.write_text(
+        f"grid.N = {n}\nnoise.K = 10\nhorizon.T = 2\nscheme.integrator = splitting\n"
+        "output.snapshot_stride = 1\noutput.diagnostics_stride = 10\n"
+    )
+    out = tmp_path / "out"
+    peak, code = traced_peak(lambda: main(["evolve", "--quiet", "--config", str(config), "--out", str(out)]))
+    assert code == 0
+    written = sorted(out.glob("snapshot_*.sfns"))
+    assert len(written) == snapshots
+    assert peak < 0.5 * snapshots * n * np.dtype(np.complex128).itemsize
+    _, last = read_snapshot(written[-1])
+    assert np.all(np.isfinite(last.values))

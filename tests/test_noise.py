@@ -5,8 +5,10 @@ import pytest
 
 from sfnse.errors import DomainError
 from sfnse.noise import (
+    _BLOCK,
     NoiseModel,
     WienerPath,
+    _ndtri,
     _normal_from_raw,
     _philox,
     build_noise_model,
@@ -16,6 +18,14 @@ from sfnse.noise import (
     sample_wiener_path,
 )
 from sfnse.spectral import build_grid
+
+
+def one_pass_table(seed, steps, K, dt):
+    """The increment table drawn in one pass: every raw word, then every
+    uniform, deviate and scaled increment as a whole-table array."""
+    raw = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(steps * K)
+    u = np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
+    return (math.sqrt(dt) * _ndtri(u)).reshape(steps, K)
 
 
 @pytest.fixture
@@ -31,6 +41,14 @@ class TestNoiseModel:
         for l in (1, 7, 100):
             assert np.allclose(model.mode_profiles[l - 1], np.sin(np.pi * l * x) / l, atol=0)
         assert not model.mode_profiles.flags.writeable
+
+    @pytest.mark.parametrize("K, a, b, N", [(1, -20.0, 20.0, 400), (100, -20.0, 20.0, 400), (100, 0.0, 40.0, 4096)])
+    def test_profiles_built_in_place_keep_their_bytes(self, K, a, b, N):
+        # the in-place build against the whole-array expression, every entry
+        grid = build_grid(a, b, N)
+        l = np.arange(1, K + 1, dtype=np.float64)[:, None]
+        x = grid.nodes()[None, :]
+        assert np.array_equal(build_noise_model(K, grid).mode_profiles, np.sin(np.pi * l * x) / l)
 
     def test_zero_profile(self, grid):
         model = NoiseModel(0.5, np.zeros((1, 400)))
@@ -125,6 +143,19 @@ class TestSampling:
         assert path.increments.tobytes() == (math.sqrt(0.02) * _normal_from_raw(raw)).reshape(10, 3).tobytes()
 
     @pytest.mark.parametrize(
+        "steps, K",
+        [(1, 1), (_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK + 1, 1), (3 * _BLOCK + 5, 1), ((2 * _BLOCK + 3) // 7 + 1, 7)],
+    )
+    def test_block_sampling_matches_one_pass_bit_for_bit(self, steps, K):
+        model = NoiseModel(0.0, np.zeros((K, 4)))
+        path = sample_wiener_path(model, steps, 0.02, seed=77)
+        assert np.array_equal(path.increments, one_pass_table(77, steps, K, 0.02))
+        total = steps * K
+        for position in sorted(p for p in {0, _BLOCK - 1, _BLOCK, _BLOCK + 1, total - 1} if p < total):
+            step, mode = divmod(position, K)
+            assert increment_entry(77, step, mode, K=K, dt=0.02) == path.increments[step, mode]
+
+    @pytest.mark.parametrize(
         "position",
         [2**66, 2**66 + 3, 4 * (2**64 - 1) + 3, 4 * (2**64 + 1) + 2, 4 * 2**256 - 1],
     )
@@ -166,7 +197,7 @@ class TestInverseNormal:
         assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
     def test_scalar_and_array_calls_agree_bitwise(self):
-        # a long array, so that the picked entries span several evaluation blocks
+        # a long array, so that the tail and central branches both run vectorised
         words = np.concatenate([self.EXTREME_WORDS, _philox(7).random_raw(10**5).astype(np.uint64)])
         picked = np.union1d(np.arange(self.EXTREME_WORDS.size), np.arange(0, words.size, 50))
         array_values = _normal_from_raw(words)[picked]
