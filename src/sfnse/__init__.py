@@ -40,11 +40,8 @@ from .output import read_snapshot, write_csv, write_snapshot
 from .spectral import (
     ComplexField,
     GridSpec,
-    OperatorSymbols,
     apply_frac_laplacian,
-    apply_g_operator,
     build_grid,
-    materialize_operator,
     operator_symbols,
     transform,
 )
@@ -58,12 +55,10 @@ __all__ = [
     "ModelParams",
     "NoiseModel",
     "Observer",
-    "OperatorSymbols",
     "RunConfig",
     "SchemeParams",
     "WienerPath",
     "apply_frac_laplacian",
-    "apply_g_operator",
     "build_grid",
     "build_noise_model",
     "coarsen_path",
@@ -73,7 +68,6 @@ __all__ = [
     "increment_field",
     "l2_error",
     "mass",
-    "materialize_operator",
     "midpoint_step",
     "operator_symbols",
     "parse_config",

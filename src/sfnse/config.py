@@ -11,9 +11,11 @@ amplitude 0.01, horizon T = 10).
 Each setting is declared once, as a ``RunConfig`` field: its annotation picks
 the literal parser and the type check, and ``_setting`` attaches the dotted
 key, the range check and the one-line comment that ``write_default_config``
-renders.  A range rule that a solver module owns is that module's checker,
-not a copy, and ``RunConfig`` applies every check on construction, so a
-config built in code is refused the same way as a parsed one.
+renders.  A range rule is never copied: a field calls the checker of the
+module that owns the rule, or one of the shared checkers in ``spectral``
+(finite real > 0, finite real >= 0, integer >= a bound) that the solver
+constructors call too.  ``RunConfig`` applies every check on construction,
+so a config built in code is refused the same way as a parsed one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field, fields, replace
 from .dynamics import _stepper
 from .errors import DomainError, ParseError, UnknownKeyError, ValidationError
 from .noise import _check_profile, _check_philox_seed
-from .spectral import GridSpec, _check_alpha, _check_grid_n
+from .spectral import GridSpec, _check_alpha, _check_grid_n, _is_real
+from .spectral import _check_above_zero, _check_at_least, _check_not_negative
 
 
 class _Malformed(Exception):
@@ -66,21 +69,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 _LITERALS = {"float": _parse_float, "int": _parse_int, "str": _parse_str, "tuple[float, ...]": _parse_float_list}
 
 
-def _positive(value) -> None:
-    if value <= 0:
-        raise DomainError(f"must be > 0, got {value}")
-
-
-def _non_negative(value) -> None:
-    if value < 0:
-        raise DomainError(f"must be >= 0, got {value}")
-
-
-def _at_least_1(value: int) -> None:
-    if value < 1:
-        raise DomainError(f"must be >= 1, got {value}")
-
-
 def _setting(key: str, default, comment: str, check=lambda value: None):
     """A RunConfig field declaring its config key, range check (raising DomainError) and comment."""
     return field(default=default, metadata={"key": key, "comment": comment, "check": check})
@@ -89,7 +77,7 @@ def _setting(key: str, default, comment: str, check=lambda value: None):
 # field annotation -> test of admitted values; never a bool, though Python counts it an int
 _KINDS = {
     "int": (lambda value: isinstance(value, numbers.Integral), "an integer"),
-    "float": (lambda value: isinstance(value, numbers.Real) and math.isfinite(value), "a finite real number"),
+    "float": (_is_real, "a finite real number"),
     "str": (lambda value: isinstance(value, str), "a string"),
 }
 
@@ -114,37 +102,45 @@ class RunConfig:
     grid_n: int = _setting("grid.N", 400, "grid points, even", _check_grid_n)
     alpha: float = _setting("model.alpha", 0.6, "fractional exponent in (0, 1]", _check_alpha)
     lam: float = _setting("model.lambda", 1.0, "nonlinearity sign: +1 defocusing, -1 focusing")
-    sigma: float = _setting("model.sigma", 1.0, "nonlinearity power", _non_negative)
-    epsilon: float = _setting("model.epsilon", 0.01, "noise amplitude", _non_negative)
+    sigma: float = _setting("model.sigma", 1.0, "nonlinearity power", _check_not_negative)
+    epsilon: float = _setting("model.epsilon", 0.01, "noise amplitude", _check_not_negative)
     integrator: str = _setting("scheme.integrator", "midpoint", "midpoint | splitting", _stepper)
-    dt: float = _setting("scheme.dt", 0.01, "time step", _positive)
-    fp_tol: float = _setting("scheme.fp_tol", 1e-12, "implicit-solver residual tolerance (discrete l2)", _positive)
-    fp_max_iter: int = _setting("scheme.fp_max_iter", 50, "implicit-solver iteration cap", _at_least_1)
-    noise_k: int = _setting("noise.K", 100, "retained noise modes", _at_least_1)
+    dt: float = _setting("scheme.dt", 0.01, "time step", _check_above_zero)
+    fp_tol: float = _setting(
+        "scheme.fp_tol", 1e-12, "implicit-solver residual tolerance (discrete l2)", _check_above_zero
+    )
+    fp_max_iter: int = _setting("scheme.fp_max_iter", 50, "implicit-solver iteration cap", _check_at_least)
+    noise_k: int = _setting("noise.K", 100, "retained noise modes", _check_at_least)
     noise_profile: str = _setting("noise.profile", "sin", "spatial mode family", _check_profile)
     noise_seed: int = _setting(
         "noise.seed", 123456789, "master seed (overridden by SFNSE_SEED, then --seed)", _check_philox_seed
     )
-    horizon_t: float = _setting("horizon.T", 10.0, "final model time", _positive)
+    horizon_t: float = _setting("horizon.T", 10.0, "final model time", _check_above_zero)
     out_dir: str = _setting("output.dir", "out", "output directory for CSV and snapshot files")
-    snapshot_stride: int = _setting("output.snapshot_stride", 100, "steps between snapshots; 0 disables", _non_negative)
-    diagnostics_stride: int = _setting("output.diagnostics_stride", 10, "steps between diagnostics rows", _at_least_1)
-    energy_stride: int = _setting("energy.stride", 10, "steps between energy samples", _at_least_1)
-    energy_n_paths: int = _setting("energy.n_paths", 10, "ensemble size for the energy study", _at_least_1)
+    snapshot_stride: int = _setting(
+        "output.snapshot_stride", 100, "steps between snapshots; 0 disables", lambda value: _check_at_least(value, 0)
+    )
+    diagnostics_stride: int = _setting(
+        "output.diagnostics_stride", 10, "steps between diagnostics rows", _check_at_least
+    )
+    energy_stride: int = _setting("energy.stride", 10, "steps between energy samples", _check_at_least)
+    energy_n_paths: int = _setting("energy.n_paths", 10, "ensemble size for the energy study", _check_at_least)
     mass_alphas: tuple[float, ...] = _setting(
         "mass.alphas",
         (0.6, 0.75, 0.9),
         "exponents for the mass table",
         lambda alphas: [_check_alpha(alpha) for alpha in alphas],
     )
-    mass_sample_dt: float = _setting("mass.sample_dt", 2.0, "model time between mass samples", _positive)
-    converge_base_dt: float = _setting("converge.base_dt", 0.01, "coarsest step of the convergence study", _positive)
-    converge_levels: int = _setting("converge.levels", 5, "number of halving levels (r = 0..levels-1)", _at_least_1)
-    converge_ref_level: int = _setting(
-        "converge.ref_level", 5, "reference halving level, must exceed levels-1", _at_least_1
+    mass_sample_dt: float = _setting("mass.sample_dt", 2.0, "model time between mass samples", _check_above_zero)
+    converge_base_dt: float = _setting(
+        "converge.base_dt", 0.01, "coarsest step of the convergence study", _check_above_zero
     )
-    converge_n_paths: int = _setting("converge.n_paths", 100, "Monte Carlo paths (paper scale: 500)", _at_least_1)
-    workers: int = _setting("experiments.workers", 1, "worker processes for path fan-out", _at_least_1)
+    converge_levels: int = _setting("converge.levels", 5, "number of halving levels (r = 0..levels-1)", _check_at_least)
+    converge_ref_level: int = _setting(
+        "converge.ref_level", 5, "reference halving level, must exceed levels-1", _check_at_least
+    )
+    converge_n_paths: int = _setting("converge.n_paths", 100, "Monte Carlo paths (paper scale: 500)", _check_at_least)
+    workers: int = _setting("experiments.workers", 1, "worker processes for path fan-out", _check_at_least)
 
     def __post_init__(self) -> None:
         for setting in fields(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import GridSpec, _fft, _field_values, operator_symbols
+from .spectral import GridSpec, _check_above_zero, _fft, _field_values, operator_symbols
 from .dynamics import ModelParams, SchemeParams
 
 _TANGENT_PAIRS = 8  # unit tangent pairs (xi, eta) the symplecticity check probes
@@ -53,7 +53,7 @@ def energy(v, grid: GridSpec, model: ModelParams) -> float:
     """
     v = _field_values(v, grid)
     coeffs = _fft(v) / grid.N
-    lap = operator_symbols(grid, model.alpha).lap_symbol
+    lap = operator_symbols(grid, model.alpha)
     kinetic = 0.5 * (grid.b - grid.a) * float(np.sum(lap * np.abs(coeffs) ** 2))
     potential = (
         model.lam
@@ -100,8 +100,7 @@ def symplectic_defect(
     finite gives inf.  The default fd_eps balances truncation against
     cancellation for unit-scale states.
     """
-    if not 0.0 < fd_eps < math.inf:
-        raise DomainError(f"fd_eps must be finite and > 0, got {fd_eps}")
+    _check_above_zero(fd_eps, "fd_eps")
     v = _field_values(v, grid)
     rng = np.random.default_rng(_TANGENT_SEED)
     shape = (_TANGENT_PAIRS, 2, grid.N)

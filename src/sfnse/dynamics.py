@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .noise import NoiseModel, WienerPath, increment_field
-from .spectral import ComplexField, GridSpec, _check_alpha, _check_integer, _fft, _ifft, operator_symbols
+from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _ifft, operator_symbols
+from .spectral import _check_above_zero, _check_at_least, _check_not_negative, _is_real
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not -math.inf < self.lam < math.inf:
+        if not _is_real(self.lam):
             raise DomainError(f"nonlinearity strength lam must be finite, got {self.lam}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise DomainError(f"nonlinearity power sigma must be finite and >= 0, got {self.sigma}")
+        _check_not_negative(self.sigma, "nonlinearity power sigma")
         if self.lam < 0.0 and not self.sigma < 2.0 * self.alpha:
             warnings.warn(
                 f"focusing run with sigma={self.sigma} >= 2*alpha={2 * self.alpha}: "
@@ -69,12 +69,9 @@ class SchemeParams:
     fp_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < math.inf:
-            raise DomainError(f"time step dt must be finite and > 0, got {self.dt}")
-        if not 0.0 < self.fp_tol < math.inf:
-            raise DomainError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
-        if self.fp_max_iter < 1:
-            raise DomainError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
+        _check_above_zero(self.dt, "time step dt")
+        _check_above_zero(self.fp_tol, "fp_tol")
+        _check_at_least(self.fp_max_iter, 1, "fp_max_iter")
 
 
 def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +96,7 @@ def _step_symbols(grid: GridSpec, alpha: float, dt: float) -> _StepSymbols:
     # the dt-dependent symbols of both schemes, built once per (grid, alpha, dt)
     # rather than per step: exp(-i dt L) alone costs about a quarter of a
     # splitting step at N = 400
-    lap = operator_symbols(grid, alpha).lap_symbol
+    lap = operator_symbols(grid, alpha)
     symbols = _StepSymbols(np.exp(-1j * dt * lap), -1j / (2.0 + 1j * dt * lap), -dt * lap)
     for symbol in symbols:
         symbol.setflags(write=False)
@@ -219,8 +216,7 @@ class Observer:
 
     def __post_init__(self) -> None:
         # a fractional stride would fire wherever (n + 1) % stride happens to be 0
-        if _check_integer(self.stride, "observer stride") < 1:
-            raise DomainError(f"observer stride must be >= 1, got {self.stride}")
+        _check_at_least(self.stride, 1, "observer stride")
 
 
 _STEPPERS = {"midpoint": midpoint_step, "splitting": splitting_step}

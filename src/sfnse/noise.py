@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import GridSpec, _check_integer
+from .spectral import GridSpec, _check_above_zero, _check_at_least, _check_integer, _check_not_negative
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,12 +86,8 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str
     ``profile`` names the built-in family; "sin" is (1/l) * sin(pi * l * x),
     l = 1..K, sampled at the absolute coordinates of the grid nodes.
     """
-    K = _check_integer(K, "noise K")
-    if K < 1:
-        raise DomainError(f"noise needs K >= 1 modes, got {K}")
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon < math.inf:
-        raise DomainError(f"noise amplitude epsilon must be finite and >= 0, got {epsilon}")
+    K = _check_at_least(K, 1, "noise K")
+    epsilon = _check_not_negative(epsilon, "noise amplitude epsilon")
     family = _PROFILES[_check_profile(profile)]
     x = grid.nodes()
     l = np.arange(1, K + 1, dtype=np.float64)[:, None]
@@ -102,9 +98,9 @@ def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str
 
 def _check_philox_seed(seed: int) -> int:
     # Philox keys are 64-bit: a wider seed would alias one below 2^64
-    seed = _check_integer(seed, "seed")
-    if not 0 <= seed <= _MASK64:
-        raise DomainError(f"seed must be a non-negative 64-bit integer, got {seed}")
+    seed = _check_at_least(seed, 0, "seed")
+    if seed > _MASK64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed}")
     return seed
 
 
@@ -218,13 +214,6 @@ def _normal_from_raw(raw):
     return _ndtri(_uniform_from_raw(raw))
 
 
-def _check_dt(dt: float) -> float:
-    dt = float(dt)
-    if not 0.0 < dt < math.inf:
-        raise DomainError(f"path needs a finite dt > 0, got {dt}")
-    return dt
-
-
 def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> WienerPath:
     """Draw the (steps x K) increment table, entries i.i.d. Normal(0, dt).
 
@@ -232,10 +221,8 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     n*K + l of the keyed Philox raw stream, so any entry can be regenerated
     in isolation (see ``increment_entry``).
     """
-    steps = _check_integer(steps, "path steps")
-    if steps < 1:
-        raise DomainError(f"path needs steps >= 1, got {steps}")
-    dt = _check_dt(dt)
+    steps = _check_at_least(steps, 1, "path steps")
+    dt = _check_above_zero(dt, "path dt")
     inc = np.empty((steps, model.K))
     flat = inc.reshape(-1)
     words = _philox(seed)
@@ -257,11 +244,11 @@ def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float
     """
     step = _check_integer(step, "step")
     mode = _check_integer(mode, "mode")
-    K = _check_integer(K, "noise K")
+    K = _check_at_least(K, 1, "noise K")
     if step < 0 or not 0 <= mode < K:
         # a mode outside 0..K-1 would alias an entry of a neighbouring step
         raise DomainError(f"entry (step {step}, mode {mode}) lies outside a table of K={K} modes")
-    dt = _check_dt(dt)
+    dt = _check_above_zero(dt, "path dt")
     block, word = divmod(step * K + mode, 4)
     if block >= _COUNTER_BLOCKS:
         raise DomainError(f"entry (step {step}, mode {mode}) lies beyond the 2^256 Philox counter blocks")
@@ -269,34 +256,41 @@ def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float
     return math.sqrt(dt) * float(_normal_from_raw(np.uint64(raw)))
 
 
+def _merge_rows(inc: np.ndarray, factor: int) -> np.ndarray:
+    # consecutive groups of ``factor`` rows summed: pairwise halving, then any odd remainder folded left to right
+    while factor % 2 == 0:
+        inc = inc[0::2] + inc[1::2]
+        factor //= 2
+    if factor > 1:
+        blocks = inc.reshape(inc.shape[0] // factor, factor, inc.shape[1])
+        inc = blocks[:, 0].copy()
+        for t in range(1, factor):
+            inc += blocks[:, t]
+    return inc
+
+
 def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
     """Merge consecutive increments: coarse row n = sum of fine rows n*factor..(n+1)*factor-1.
 
     Power-of-two factors are reduced by repeated pairwise halving so that
     coarsen(coarsen(p, 2), 2) and coarsen(p, 4) agree bit for bit; any odd
-    remainder is folded left to right.  dt is multiplied by the factor.
+    remainder is folded left to right.  The coarse table is filled about
+    ``_BLOCK`` fine entries at a time, so building it costs its own size plus
+    one block.  dt is multiplied by the factor.
     """
-    factor = _check_integer(factor, "coarsening factor")
-    if factor < 1:
-        raise DomainError(f"coarsening factor must be >= 1, got {factor}")
+    factor = _check_at_least(factor, 1, "coarsening factor")
     if factor == 1:
         return path
     if path.steps % factor != 0:
         raise DomainError(f"factor {factor} does not divide steps {path.steps}")
-    inc = path.increments
-    remaining = factor
-    while remaining % 2 == 0:
-        inc = inc[0::2] + inc[1::2]
-        remaining //= 2
-    if remaining > 1:
-        blocks = inc.reshape(inc.shape[0] // remaining, remaining, path.increments.shape[1])
-        acc = blocks[:, 0].copy()
-        for t in range(1, remaining):
-            acc += blocks[:, t]
-        inc = acc
-    inc = np.ascontiguousarray(inc)
-    inc.setflags(write=False)
-    return WienerPath(path.seed, path.dt * factor, inc)
+    fine = path.increments
+    coarse = np.empty((path.steps // factor, fine.shape[1]))
+    rows = max(1, _BLOCK // max(factor * fine.shape[1], 1))  # coarse rows per block
+    for start in range(0, coarse.shape[0], rows):
+        stop = start + rows
+        coarse[start:stop] = _merge_rows(fine[start * factor : stop * factor], factor)
+    coarse.setflags(write=False)
+    return WienerPath(path.seed, path.dt * factor, coarse)
 
 
 def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec) -> np.ndarray:

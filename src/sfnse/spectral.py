@@ -1,14 +1,13 @@
-"""Periodic grid, discrete Fourier transforms, and fractional spectral operators.
+"""Periodic grid, discrete Fourier transforms, and the fractional Laplacian.
 
 On a uniform periodic grid the fractional Laplacian acts as the diagonal
-Fourier multiplier |k*mu|^(2*alpha).  Its skew-adjoint square root multiplies
-mode k by i*k*mu*|k*mu|^(alpha-1); applying it twice recovers the negative
-fractional Laplacian on every mode except the Nyquist mode, where the +N/2
-and -N/2 images carry half weight each and cancel for the odd symbol.
+Fourier multiplier |k*mu|^(2*alpha).  The module also holds the argument
+checkers every module shares, so each range rule is written once.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,8 +20,6 @@ try:  # the C kernels behind np.fft since numpy 2.0
     from numpy.fft import _pocketfft_umath as _pocketfft
 except ImportError:  # numpy < 2.0
     _pocketfft = None
-
-DENSE_N_MAX = 256  # guard for dense operator construction
 
 
 def _fft(v) -> np.ndarray:
@@ -78,8 +75,8 @@ class GridSpec:
 
 
 def _check_grid_n(N: int) -> None:
-    if N % 2 != 0 or N < 4:
-        raise DomainError(f"grid needs an even N >= 4, got N={N}")
+    if _check_at_least(N, 4, "grid N") % 2 != 0:
+        raise DomainError(f"grid N must be even, got {N}")
 
 
 def _check_integer(value, name: str) -> int:
@@ -87,6 +84,33 @@ def _check_integer(value, name: str) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_at_least(value, low: int = 1, name: str = "value") -> int:
+    """``value`` as an int; DomainError naming ``name`` unless it is an integer >= ``low``."""
+    value = _check_integer(value, name)
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _is_real(value) -> bool:
+    # a finite real number; like an integer argument, never a bool
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_above_zero(value, name: str = "value") -> float:
+    """``value`` as a float; DomainError naming ``name`` unless it is a finite real > 0."""
+    if not (_is_real(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def _check_not_negative(value, name: str = "value") -> float:
+    """``value`` as a float; DomainError naming ``name`` unless it is a finite real >= 0."""
+    if not (_is_real(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
 def build_grid(a: float, b: float, N: int) -> GridSpec:
@@ -112,21 +136,6 @@ class ComplexField:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class OperatorSymbols:
-    """Precomputed diagonal Fourier multipliers for one (grid, alpha) pair.
-
-    ``lap_symbol`` holds |k*mu|^(2*alpha) per mode (the positive fractional
-    Laplacian); ``g_symbol`` holds i*k*mu*|k*mu|^(alpha-1) with zeros at k = 0
-    and at the Nyquist bin, whose two half-weight images cancel for the odd
-    symbol.  Both arrays use DFT ordering and are read-only, so instances may
-    be shared freely across workers.
-    """
-
-    lap_symbol: np.ndarray
-    g_symbol: np.ndarray
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -135,22 +144,17 @@ def _check_alpha(alpha: float) -> float:
 
 
 @lru_cache(maxsize=128)
-def operator_symbols(grid: GridSpec, alpha: float) -> OperatorSymbols:
-    """Spectral multipliers for the fractional operators, built once per (grid, alpha).
+def operator_symbols(grid: GridSpec, alpha: float) -> np.ndarray:
+    """The fractional Laplacian's multiplier |k*mu|^(2*alpha), built once per (grid, alpha).
 
-    Alpha is validated on a cache miss; repeated calls return the same
-    read-only ``OperatorSymbols`` object.
+    The array is in DFT ordering and read-only, so it may be shared freely
+    across workers.  Alpha is validated on a cache miss; repeated calls
+    return the same array.
     """
     alpha = _check_alpha(alpha)
-    kmu = grid.wavenumbers()
-    absk = np.abs(kmu)
-    lap = absk ** (2.0 * alpha)
-    # sign(k)*|k*mu|^alpha == k*mu*|k*mu|^(alpha-1) without the 0**negative hazard
-    g = 1j * np.sign(kmu) * absk**alpha
-    g[grid.N // 2] = 0.0  # odd symbol: the two half-weight Nyquist images cancel
+    lap = np.abs(grid.wavenumbers()) ** (2.0 * alpha)
     lap.setflags(write=False)
-    g.setflags(write=False)
-    return OperatorSymbols(lap, g)
+    return lap
 
 
 def _field_values(v, grid: GridSpec) -> np.ndarray:
@@ -184,46 +188,4 @@ def apply_frac_laplacian(v, grid: GridSpec, alpha: float) -> np.ndarray:
     callers: time-stepping schemes apply their own signs to this positive
     operator.
     """
-    sym = operator_symbols(grid, alpha)
-    return _ifft(_fft(_field_values(v, grid)) * sym.lap_symbol)
-
-
-def apply_g_operator(v, grid: GridSpec, alpha: float) -> np.ndarray:
-    """Apply the skew-adjoint square root of the negative fractional Laplacian.
-
-    Mode k is multiplied by i*k*mu*|k*mu|^(alpha-1); the Nyquist bin maps to
-    zero because its two half-weight images cancel for this odd symbol.
-    Applying the operator twice equals the negated fractional Laplacian on
-    every Nyquist-free array.  Takes and returns length-N arrays.
-    """
-    sym = operator_symbols(grid, alpha)
-    return _ifft(_fft(_field_values(v, grid)) * sym.g_symbol)
-
-
-def materialize_operator(grid: GridSpec, alpha: float, which: str) -> np.ndarray:
-    """Dense real matrix realization of the spectral operators at small N.
-
-    Built by direct summation over the symmetric mode range k = -N/2..N/2
-    with half weights c_k = 2 at k = +-N/2, independently of the FFT code
-    path, so it doubles as a cross-check oracle.  ``which`` selects "D1"
-    (skew-symmetric square-root operator) or "D2" (symmetric positive
-    fractional Laplacian).
-    """
-    alpha = _check_alpha(alpha)
-    if grid.N > DENSE_N_MAX:
-        raise DomainError(f"dense operators are guarded to N <= {DENSE_N_MAX}, got N={grid.N}")
-    if which not in ("D1", "D2"):
-        raise DomainError(f"which must be 'D1' or 'D2', got {which!r}")
-    N, mu = grid.N, grid.mu
-    j = np.arange(N)
-    diff = j[:, None] - j[None, :]
-    theta = 2.0 * np.pi / N  # mu * h
-    acc = np.zeros((N, N), dtype=np.complex128)
-    for k in range(-N // 2, N // 2 + 1):
-        if k == 0:
-            continue
-        ck = 2.0 if abs(k) == N // 2 else 1.0
-        w = abs(k * mu)
-        coef = 1j * k * mu * w ** (alpha - 1.0) if which == "D1" else w ** (2.0 * alpha)
-        acc += coef / (N * ck) * np.exp(1j * theta * k * diff)
-    return acc.real
+    return _ifft(_fft(_field_values(v, grid)) * operator_symbols(grid, alpha))

@@ -114,7 +114,7 @@ class TestSubcommands:
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") >= 8
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
 
 
@@ -371,8 +371,19 @@ def test_console_entry_point(tmp_path):
     assert "PASS" in result.stdout
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    probe = "import sys, sfnse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_package_imports_only_numpy_and_stdlib(tmp_path):
+    # diffed against what the interpreter loaded before the import: site
+    # hooks may already have pulled in third-party modules of their own.
+    # _sysconfigdata_* is the stdlib's generated sysconfig table, which
+    # stdlib_module_names does not list
+    probe = (
+        "import sys\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import sfnse, sfnse.cli\n"
+        "new = {m.split('.')[0] for m in sys.modules} - before\n"
+        "new -= {'sfnse', 'numpy'} | set(sys.stdlib_module_names)\n"
+        "print(sorted(m for m in new if not m.startswith('_sysconfigdata')))\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -382,6 +393,58 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = [
+    "ComplexField",
+    "ConvergenceReport",
+    "DiagnosticsRecord",
+    "EnsembleReport",
+    "GridSpec",
+    "ModelParams",
+    "NoiseModel",
+    "Observer",
+    "RunConfig",
+    "SchemeParams",
+    "WienerPath",
+    "apply_frac_laplacian",
+    "build_grid",
+    "build_noise_model",
+    "coarsen_path",
+    "energy",
+    "evolve",
+    "increment_entry",
+    "increment_field",
+    "l2_error",
+    "mass",
+    "midpoint_step",
+    "operator_symbols",
+    "parse_config",
+    "read_snapshot",
+    "record_diagnostics",
+    "run_convergence_study",
+    "run_energy_ensemble",
+    "run_evolution",
+    "run_mass_table",
+    "sample_wiener_path",
+    "sech_carrier_initial",
+    "splitting_step",
+    "symplectic_defect",
+    "transform",
+    "write_csv",
+    "write_default_config",
+    "write_snapshot",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping a public name takes a deliberate edit of this list
+    import sfnse
+
+    assert len(PUBLIC_NAMES) == 38 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sfnse.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(sfnse, name) is not None
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

@@ -83,7 +83,7 @@ class TestEnergy:
         g = build_grid(0.0, 2.0 * np.pi, 32)
         model = ModelParams(0.8, 0.0, 0.0)
         f = random_state(g, 1)
-        lap = operator_symbols(g, 0.8).lap_symbol
+        lap = operator_symbols(g, 0.8)
         evolved = np.fft.ifft(np.fft.fft(f) * np.exp(-1j * 0.7 * lap))
         assert energy(evolved, g, model) == pytest.approx(energy(f, g, model), rel=1e-11)
 

@@ -39,7 +39,7 @@ def mass2(v, grid):
 
 def reference_flow(state, model, grid, t_end, rtol=1e-12, atol=1e-13):
     """High-accuracy deterministic reference on arrays: stacked-real ODE solve."""
-    lap = operator_symbols(grid, model.alpha).lap_symbol
+    lap = operator_symbols(grid, model.alpha)
     N = grid.N
 
     def rhs(_, y):
@@ -71,7 +71,7 @@ def iterate_residual_midpoint(v, dW, model, scheme, grid):
     the certifying one last.
     """
     dt = scheme.dt
-    lap = operator_symbols(grid, model.alpha).lap_symbol
+    lap = operator_symbols(grid, model.alpha)
     denom = 2.0 + 1j * dt * lap
     two_phi_hat = 2.0 * np.fft.fft(v)
     coeff_norm = math.sqrt(grid.h / grid.N)
@@ -127,6 +127,11 @@ class TestSchemeParams:
             SchemeParams(dt=0.1, fp_tol=0.0)
         with pytest.raises(DomainError):
             SchemeParams(dt=0.1, fp_max_iter=0)
+        # a cap that is not an integer, a bool among them, is refused rather
+        # than failing in the first step (2.5) or running one evaluation (True)
+        for cap in (2.5, np.float64(3.0), True):
+            with pytest.raises(DomainError, match="fp_max_iter must be an integer"):
+                SchemeParams(0.01, fp_max_iter=cap)
 
 
 class TestMidpoint:
@@ -136,7 +141,7 @@ class TestMidpoint:
         model = ModelParams(alpha=0.75, lam=0.0, sigma=0.0)
         scheme = SchemeParams(dt=0.05)
         out = midpoint_step(state, np.zeros(grid.N), model, scheme, grid)
-        lap = operator_symbols(grid, 0.75).lap_symbol
+        lap = operator_symbols(grid, 0.75)
         cayley = (2.0 - 1j * scheme.dt * lap) / (2.0 + 1j * scheme.dt * lap)
         assert np.max(np.abs(np.abs(cayley) - 1.0)) <= 1e-14
         expect = np.fft.ifft(cayley * np.fft.fft(state))
@@ -285,7 +290,7 @@ class TestSplitting:
         for _ in range(50):
             s = splitting_step(s, np.zeros(grid.N), model, scheme, grid)
         t = 50 * 0.02
-        lap = operator_symbols(grid, 0.6).lap_symbol
+        lap = operator_symbols(grid, 0.6)
         exact = np.fft.ifft(np.fft.fft(state) * np.exp(-1j * t * lap)) * np.exp(-1j * t)
         assert np.max(np.abs(s - exact)) < 1e-12
 
@@ -324,7 +329,7 @@ class TestSplitting:
         dW = 0.1 * np.random.default_rng(23).standard_normal(grid.N)
         dt = 0.01
         phase = np.exp(-1j * (dt * model.lam * np.abs(state) ** 0.0 + dW))
-        linear = np.exp(-1j * dt * operator_symbols(grid, 0.75).lap_symbol)
+        linear = np.exp(-1j * dt * operator_symbols(grid, 0.75))
         general = np.fft.ifft(np.fft.fft(state * phase) * linear)
         assert np.array_equal(splitting_step(state, dW, model, SchemeParams(dt=dt), grid), general)
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 from sfnse.cli import main
-from sfnse.noise import build_noise_model, sample_wiener_path
+from sfnse.noise import build_noise_model, coarsen_path, sample_wiener_path
 from sfnse.output import read_snapshot
 from sfnse.spectral import build_grid
 
@@ -46,6 +46,17 @@ def test_profiles_peak_at_the_table():
     peak, model = traced_peak(lambda: build_noise_model(500, grid))
     table = model.mode_profiles.nbytes
     assert peak < table + 1 * MB
+
+
+def test_coarsening_peaks_at_the_coarse_table_plus_one_block():
+    # a 13 MB table: halving the whole table at once held 9.5 MB of
+    # intermediate tables whatever the factor; block by block the peak is
+    # the coarse table plus one block's cascade
+    model = build_noise_model(100, build_grid(0.0, 40.0, 64))
+    path = sample_wiener_path(model, 2**14, 0.01, seed=4)
+    for factor in (4, 32):
+        peak, coarse = traced_peak(lambda: coarsen_path(path, factor))
+        assert peak < coarse.increments.nbytes + 3 * MB
 
 
 def test_evolve_peak_does_not_grow_with_its_snapshots(tmp_path):

@@ -119,7 +119,7 @@ class TestSampling:
             sample_wiener_path(model, 1, 0.1, seed=-1)
         # the single-entry draw refuses what the table draw refuses
         for dt in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError, match="finite dt > 0"):
+            with pytest.raises(DomainError, match="path dt must be finite and > 0"):
                 increment_entry(0, 0, 0, K=1, dt=dt)
         for step, mode in ((-1, 0), (0, -1), (0, 2)):
             with pytest.raises(DomainError, match="lies outside a table of K=2 modes"):
@@ -246,6 +246,27 @@ class TestCoarsening:
         for t in range(1, 5):
             expect += blocks[:, t]
         assert np.array_equal(coarse.increments, expect)
+
+    @pytest.mark.parametrize("factor", [2, 3, 4, 6, 12, 32])
+    def test_blockwise_table_equals_whole_table_cascade(self, grid, factor):
+        # the whole-table algorithm, kept as the reference: pairwise halving
+        # of the full table, then the odd remainder folded left to right.
+        # 9600 x 7 entries span three sampling blocks, so block edges are hit
+        model = build_noise_model(7, grid)
+        path = sample_wiener_path(model, 9600, 0.01, seed=21)
+        inc, remaining = path.increments, factor
+        while remaining % 2 == 0:
+            inc = inc[0::2] + inc[1::2]
+            remaining //= 2
+        if remaining > 1:
+            blocks = inc.reshape(inc.shape[0] // remaining, remaining, 7)
+            acc = blocks[:, 0].copy()
+            for t in range(1, remaining):
+                acc += blocks[:, t]
+            inc = acc
+        coarse = coarsen_path(path, factor).increments
+        assert coarse.flags.c_contiguous and not coarse.flags.writeable
+        assert coarse.shape == inc.shape and coarse.tobytes() == np.ascontiguousarray(inc).tobytes()
 
     def test_divisibility(self, grid):
         model = build_noise_model(1, grid)
