@@ -32,7 +32,6 @@ from .noise import (
     WienerPath,
     build_noise_model,
     coarsen_path,
-    increment_entry,
     increment_field,
     sample_wiener_path,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "coarsen_path",
     "energy",
     "evolve",
-    "increment_entry",
     "increment_field",
     "l2_error",
     "mass",

@@ -79,6 +79,7 @@ _KINDS = {
     "int": (lambda value: isinstance(value, numbers.Integral), "an integer"),
     "float": (_is_real, "a finite real number"),
     "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple[float, ...]": (lambda value: isinstance(value, tuple) and len(value) > 0, "a non-empty tuple"),
 }
 
 

@@ -1,11 +1,12 @@
 """Truncated Q-Wiener noise on the grid.
 
 The driving noise is the truncated expansion W(t, x) = sum_l a_l phi_l(x) b_l(t)
-with independent scalar Brownian motions b_l.  Increment tables are drawn from
-a counter-based generator (Philox) so that entry (step, mode) is addressable
-without generating predecessors, which lets coarse and fine paths of a
-refinement study share their underlying randomness and lets independent paths
-be sampled concurrently with no sequential generator state.
+with independent scalar Brownian motions b_l.  An increment table is the raw
+stream of a counter-based generator (Philox) keyed by the path seed: entry
+(n, l) of a K-mode table is word n*K + l of that stream.  Paths are
+independent because their keys differ, so they can be sampled concurrently
+with no shared generator state, and the coarse paths of a refinement study
+are exact block sums of their fine table (``coarsen_path``).
 
 Each raw Philox word becomes a normal deviate through Wichura's algorithm AS241
 (PPND16, Appl. Statist. 37(3), 1988), evaluated in plain numpy.  Over 2e6
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import GridSpec, _check_above_zero, _check_at_least, _check_integer, _check_not_negative
+from .spectral import GridSpec, _check_above_zero, _check_at_least, _check_not_negative
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,15 +105,6 @@ def _check_philox_seed(seed: int) -> int:
     return seed
 
 
-_COUNTER_BLOCKS = 2**256  # Philox-4x64 counts blocks in four 64-bit words
-
-
-def _philox(seed: int, counter: int = 0) -> np.random.Philox:
-    key = np.array([_check_philox_seed(seed), 0], dtype=np.uint64)
-    # an int counter spans all 256 bits; a word list would be cast to C longs
-    return np.random.Philox(key=key, counter=counter)
-
-
 # AS241 (PPND16) coefficients, highest power first for Horner evaluation:
 # central region |u - 0.5| <= 0.425 in r = 0.180625 - q^2, then the two tail
 # regions in r = sqrt(-log(min(u, 1 - u))), split at r = 5
@@ -164,21 +156,6 @@ def _horner(coefficients, r):
     return acc
 
 
-def _ndtri(u):
-    """Inverse standard normal CDF of u in (0, 1) by AS241 (PPND16).
-
-    Wichura states a relative accuracy of about 1e-16 (for the measured
-    figure see the module docstring).  The central rational function is
-    evaluated on every entry, the log/sqrt tail branch only on the entries
-    with |u - 0.5| > 0.425 (about 15 % of uniform input), in one pass over u.
-    Accepts 0-d input.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    z = np.empty(u.size)
-    _ndtri_block(u.reshape(-1), z)
-    return z.reshape(u.shape)
-
-
 def _ndtri_block(u, out):
     # in-place arithmetic: each temporary costs as much as a pass over u
     q = u - 0.5
@@ -210,22 +187,19 @@ def _uniform_from_raw(raw):
     return np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
 
 
-def _normal_from_raw(raw):
-    return _ndtri(_uniform_from_raw(raw))
-
-
 def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> WienerPath:
     """Draw the (steps x K) increment table, entries i.i.d. Normal(0, dt).
 
-    Entry (n, l) is a pure function of (seed, n, l): it sits at position
-    n*K + l of the keyed Philox raw stream, so any entry can be regenerated
-    in isolation (see ``increment_entry``).
+    Entry (n, l) is word n*K + l of the Philox raw stream keyed by ``seed``:
+    the same seed gives the same table bit for bit, and paths with different
+    seeds are independent.  A coarse path is the exact block sum of this
+    table (``coarsen_path``), so coarse and fine paths share their randomness.
     """
     steps = _check_at_least(steps, 1, "path steps")
     dt = _check_above_zero(dt, "path dt")
     inc = np.empty((steps, model.K))
     flat = inc.reshape(-1)
-    words = _philox(seed)
+    words = np.random.Philox(key=np.array([_check_philox_seed(seed), 0], dtype=np.uint64))
     # the raw stream one block at a time, each block's deviates written in place
     for start in range(0, flat.size, _BLOCK):
         stop = min(start + _BLOCK, flat.size)
@@ -233,27 +207,6 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     inc *= math.sqrt(dt)
     inc.setflags(write=False)
     return WienerPath(int(seed), dt, inc)
-
-
-def increment_entry(seed: int, step: int, mode: int, K: int, dt: float) -> float:
-    """Entry (step, mode) of the increment table, without its predecessors.
-
-    Philox emits 4 raw words per counter block, so position i = step*K + mode
-    lives at word i % 4 of block i // 4.  Philox has 2^256 blocks; a
-    position beyond them raises DomainError.
-    """
-    step = _check_integer(step, "step")
-    mode = _check_integer(mode, "mode")
-    K = _check_at_least(K, 1, "noise K")
-    if step < 0 or not 0 <= mode < K:
-        # a mode outside 0..K-1 would alias an entry of a neighbouring step
-        raise DomainError(f"entry (step {step}, mode {mode}) lies outside a table of K={K} modes")
-    dt = _check_above_zero(dt, "path dt")
-    block, word = divmod(step * K + mode, 4)
-    if block >= _COUNTER_BLOCKS:
-        raise DomainError(f"entry (step {step}, mode {mode}) lies beyond the 2^256 Philox counter blocks")
-    raw = _philox(seed, counter=block).random_raw(word + 1)[-1]
-    return math.sqrt(dt) * float(_normal_from_raw(np.uint64(raw)))
 
 
 def _merge_rows(inc: np.ndarray, factor: int) -> np.ndarray:

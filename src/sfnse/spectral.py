@@ -137,19 +137,18 @@ class ComplexField:
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    return alpha
+    if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    return float(alpha)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def operator_symbols(grid: GridSpec, alpha: float) -> np.ndarray:
     """The fractional Laplacian's multiplier |k*mu|^(2*alpha), built once per (grid, alpha).
 
     The array is in DFT ordering and read-only, so it may be shared freely
-    across workers.  Alpha is validated on a cache miss; repeated calls
-    return the same array.
+    across workers.  Alpha is validated on a cache miss; the cache is typed,
+    so True never hits the entry of 1.0.  Repeated calls return the same array.
     """
     alpha = _check_alpha(alpha)
     lap = np.abs(grid.wavenumbers()) ** (2.0 * alpha)

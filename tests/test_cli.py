@@ -413,7 +413,6 @@ PUBLIC_NAMES = [
     "coarsen_path",
     "energy",
     "evolve",
-    "increment_entry",
     "increment_field",
     "l2_error",
     "mass",
@@ -441,7 +440,7 @@ def test_public_surface_is_pinned():
     # adding or dropping a public name takes a deliberate edit of this list
     import sfnse
 
-    assert len(PUBLIC_NAMES) == 38 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 37 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sfnse.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sfnse, name) is not None

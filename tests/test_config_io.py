@@ -133,6 +133,10 @@ mass.alphas = 0.5, 0.75
             ("horizon.T", nan),
             ("scheme.fp_tol", nan),
             ("converge.base_dt", inf),
+            ("mass.alphas", 0.6),
+            ("mass.alphas", ()),
+            ("mass.alphas", (True,)),
+            ("mass.alphas", ("0.5",)),
         ]:
             with pytest.raises(ValidationError) as info:
                 replace(RunConfig(), **{names[key]: value})

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from sfnse.experiments import (
 )
 from sfnse.noise import coarsen_path, sample_wiener_path
 from sfnse.output import read_snapshot
+from sfnse.spectral import build_grid
 
 
 def tiny_convergence_config(**overrides):
@@ -316,3 +318,14 @@ def test_path_seed_is_stable_and_distinct():
     assert len(set(seeds)) == 8
     assert seeds == [path_seed(123456789, i) for i in range(8)]
     assert path_seed(1, 0) != path_seed(2, 0)
+
+
+def test_wide_domain_initial_state_is_quiet_and_exactly_zero_far_out():
+    # cosh overflows to inf past |x| = 710; the envelope there is 1/inf = 0, with no warning
+    grid = build_grid(-1000.0, 1000.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sech_carrier_initial(grid).values
+    far = np.abs(grid.nodes()) >= 711
+    assert far.any() and np.all(np.isfinite(values))
+    assert np.all(values[far] == 0)

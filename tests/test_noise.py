@@ -8,24 +8,32 @@ from sfnse.noise import (
     _BLOCK,
     NoiseModel,
     WienerPath,
-    _ndtri,
-    _normal_from_raw,
-    _philox,
+    _ndtri_block,
+    _uniform_from_raw,
     build_noise_model,
     coarsen_path,
-    increment_entry,
     increment_field,
     sample_wiener_path,
 )
 from sfnse.spectral import build_grid
 
 
+def philox_words(seed, count):
+    # the first ``count`` raw words of the Philox stream keyed by ``seed``
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(count)
+
+
+def normals(words):
+    # the normal deviates of raw words, all of them in one pass
+    z = np.empty(words.size)
+    _ndtri_block(_uniform_from_raw(words), z)
+    return z
+
+
 def one_pass_table(seed, steps, K, dt):
     """The increment table drawn in one pass: every raw word, then every
     uniform, deviate and scaled increment as a whole-table array."""
-    raw = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(steps * K)
-    u = np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
-    return (math.sqrt(dt) * _ndtri(u)).reshape(steps, K)
+    return (math.sqrt(dt) * normals(philox_words(seed, steps * K))).reshape(steps, K)
 
 
 @pytest.fixture
@@ -82,13 +90,6 @@ class TestSampling:
         assert np.array_equal(a.increments, b.increments)
         assert a.increments.shape == (20, 5)
 
-    def test_counter_random_access(self, grid):
-        model = build_noise_model(3, grid)
-        path = sample_wiener_path(model, 50, 0.02, seed=1234)
-        for step, mode in [(0, 0), (0, 2), (7, 1), (49, 2), (13, 0)]:
-            direct = increment_entry(1234, step, mode, K=3, dt=0.02)
-            assert direct == path.increments[step, mode]
-
     def test_moments_at_1e5_samples(self, grid):
         dt = 0.01
         model = build_noise_model(1, grid)
@@ -113,34 +114,24 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_wiener_path(model, 0, 0.1, seed=0)
         for dt in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="path dt must be finite and > 0"):
                 sample_wiener_path(model, 1, dt, seed=0)
         with pytest.raises(DomainError):
             sample_wiener_path(model, 1, 0.1, seed=-1)
-        # the single-entry draw refuses what the table draw refuses
-        for dt in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError, match="path dt must be finite and > 0"):
-                increment_entry(0, 0, 0, K=1, dt=dt)
-        for step, mode in ((-1, 0), (0, -1), (0, 2)):
-            with pytest.raises(DomainError, match="lies outside a table of K=2 modes"):
-                increment_entry(0, step, mode, K=2, dt=0.1)
 
     def test_seed_above_64_bits_rejected_not_aliased(self, grid):
         model = build_noise_model(2, grid)
         with pytest.raises(DomainError):
             sample_wiener_path(model, 4, 0.1, seed=2**64)
-        with pytest.raises(DomainError):
-            increment_entry(2**64, 0, 0, K=2, dt=0.1)
         top = sample_wiener_path(model, 4, 0.1, seed=2**64 - 1)
         assert top.seed == 2**64 - 1
         assert not np.array_equal(top.increments, sample_wiener_path(model, 4, 0.1, seed=0).increments)
-        assert increment_entry(2**64 - 1, 3, 1, K=2, dt=0.1) == top.increments[3, 1]
+        assert np.array_equal(top.increments, one_pass_table(2**64 - 1, 4, 2, 0.1))
 
     def test_table_is_the_keyed_philox_stream(self, grid):
         model = build_noise_model(3, grid)
         path = sample_wiener_path(model, 10, 0.02, seed=42)
-        raw = np.random.Philox(key=np.array([42, 0], dtype=np.uint64)).random_raw(30)
-        assert path.increments.tobytes() == (math.sqrt(0.02) * _normal_from_raw(raw)).reshape(10, 3).tobytes()
+        assert path.increments.tobytes() == one_pass_table(42, 10, 3, 0.02).tobytes()
 
     @pytest.mark.parametrize(
         "steps, K",
@@ -150,32 +141,10 @@ class TestSampling:
         model = NoiseModel(0.0, np.zeros((K, 4)))
         path = sample_wiener_path(model, steps, 0.02, seed=77)
         assert np.array_equal(path.increments, one_pass_table(77, steps, K, 0.02))
-        total = steps * K
-        for position in sorted(p for p in {0, _BLOCK - 1, _BLOCK, _BLOCK + 1, total - 1} if p < total):
-            step, mode = divmod(position, K)
-            assert increment_entry(77, step, mode, K=K, dt=0.02) == path.increments[step, mode]
-
-    @pytest.mark.parametrize(
-        "position",
-        [2**66, 2**66 + 3, 4 * (2**64 - 1) + 3, 4 * (2**64 + 1) + 2, 4 * 2**256 - 1],
-    )
-    def test_entries_past_64_bit_counter_blocks(self, position):
-        # independent oracle: advance a fresh generator by whole blocks
-        bitgen = np.random.Philox(key=np.array([9, 0], dtype=np.uint64))
-        bitgen.advance(position // 4)
-        raw = bitgen.random_raw(position % 4 + 1)[-1]
-        want = math.sqrt(0.1) * float(_normal_from_raw(np.uint64(raw)))
-        assert increment_entry(9, position, 0, K=1, dt=0.1) == want
-        step, mode = divmod(position, 5)
-        assert increment_entry(9, step, mode, K=5, dt=0.1) == want
-
-    def test_entries_past_the_counter_range_refused(self):
-        with pytest.raises(DomainError, match="2\\^256 Philox counter blocks"):
-            increment_entry(0, 4 * 2**256, 0, K=1, dt=0.1)
 
 
 def _uniforms(words):
-    # the uniform that _normal_from_raw builds from each raw word
+    # the uniform that _uniform_from_raw builds from each raw word
     return np.minimum((words >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
 
 
@@ -188,26 +157,14 @@ class TestInverseNormal:
         from scipy.special import ndtri
 
         tail = np.arange(1, 10**5, 3, dtype=np.uint64) << np.uint64(11)  # u < 3e-11: far tail branch
-        words = np.concatenate(
-            [_philox(2024).random_raw(10**6).astype(np.uint64), self.EXTREME_WORDS, tail, ~tail]
-        )
-        got = _normal_from_raw(words)
+        words = np.concatenate([philox_words(2024, 10**6), self.EXTREME_WORDS, tail, ~tail])
+        got = normals(words)
         want = ndtri(_uniforms(words))
         assert np.all(np.isfinite(want))
         assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
-    def test_scalar_and_array_calls_agree_bitwise(self):
-        # a long array, so that the tail and central branches both run vectorised
-        words = np.concatenate([self.EXTREME_WORDS, _philox(7).random_raw(10**5).astype(np.uint64)])
-        picked = np.union1d(np.arange(self.EXTREME_WORDS.size), np.arange(0, words.size, 50))
-        array_values = _normal_from_raw(words)[picked]
-        scalar_values = np.array([_normal_from_raw(w) for w in words[picked]])
-        assert _normal_from_raw(words[0]).shape == ()
-        assert np.array_equal(array_values.view(np.uint64), scalar_values.view(np.uint64))
-
     def test_extreme_words_finite_with_opposite_signs(self):
-        low = float(_normal_from_raw(np.uint64(0)))
-        high = float(_normal_from_raw(np.uint64(2**64 - 1)))
+        low, high = normals(np.array([0, 2**64 - 1], dtype=np.uint64))
         assert math.isfinite(low) and math.isfinite(high)
         assert low < -8.0 and high > 8.0
 
@@ -331,17 +288,12 @@ def test_fractional_integers_refused_not_truncated(grid):
         lambda: build_grid(-20, 20, 64.7),
         lambda: build_noise_model(2.5, grid),
         lambda: coarsen_path(path, 2.5),
-        lambda: increment_entry(1, 2.5, 0, K=2, dt=0.1),
-        lambda: increment_entry(1, 2, 1.0, K=2, dt=0.1),
-        lambda: increment_entry(1, 2, 0, K=2.0, dt=0.1),
         # a bool is an int to Python, but RunConfig refuses it for these settings
         lambda: sample_wiener_path(noise, 4, 0.01, seed=True),
         lambda: sample_wiener_path(noise, True, 0.01, seed=1),
         lambda: build_grid(-20, 20, True),
         lambda: build_noise_model(True, grid),
         lambda: coarsen_path(path, True),
-        lambda: increment_entry(1, True, 0, K=2, dt=0.1),
-        lambda: increment_entry(1, 2, 0, K=True, dt=0.1),
     ):
         with pytest.raises(DomainError, match="must be an integer"):
             call()

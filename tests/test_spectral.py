@@ -193,9 +193,15 @@ class TestFracLaplacian:
 
     def test_alpha_range(self):
         g = build_grid(0.0, 1.0, 8)
-        for alpha in (0.0, -0.5, 1.5):
+        for alpha in (0.0, -0.5, 1.5, "0.5"):
             with pytest.raises(DomainError):
                 apply_frac_laplacian(np.ones(8), g, alpha)
+        with pytest.raises(DomainError):
+            ModelParams(True, 0.0, 0.0)
+        # a cached 1.0 must not let True through
+        operator_symbols(g, 1.0)
+        with pytest.raises(DomainError):
+            operator_symbols(g, True)
 
 
 class TestGOperator:
