@@ -141,7 +141,6 @@ class RunConfig:
         "converge.ref_level", 5, "reference halving level, must exceed levels-1", _check_at_least
     )
     converge_n_paths: int = _setting("converge.n_paths", 100, "Monte Carlo paths (paper scale: 500)", _check_at_least)
-    workers: int = _setting("experiments.workers", 1, "worker processes for path fan-out", _check_at_least)
 
     def __post_init__(self) -> None:
         for setting in fields(self):

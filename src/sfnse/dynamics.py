@@ -51,7 +51,7 @@ class ModelParams:
             warnings.warn(
                 f"focusing run with sigma={self.sigma} >= 2*alpha={2 * self.alpha}: "
                 "outside the guaranteed global-existence range",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the code that built the model
             )
 
 

@@ -21,10 +21,6 @@ class NonConvergence(RuntimeError):
         self.residual = residual
         self.step = step
 
-    def __reduce__(self):
-        # rebuilt from all four arguments, so it crosses a process pool intact
-        return type(self), (self.args[0], self.iterations, self.residual, self.step)
-
 
 class ParseError(ValueError):
     """Syntax error in a config file, with 1-based line and column."""

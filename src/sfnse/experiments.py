@@ -4,17 +4,15 @@ Four drivers, one per CLI study: the single-trajectory evolve run, the
 per-exponent mass-conservation table, the coupled-path strong-convergence
 study for the splitting scheme, and the energy ensemble under noise.  Every
 config becomes a trajectory here; the CLI only writes and prints.  Monte Carlo
-paths are independent work items keyed by (master seed, path index); results
-are aggregated in fixed path order so serial and parallel execution agree
-bit for bit.
+paths are keyed by (master seed, path index), run one after another in path
+order, and aggregated in that order, so the same config and seed give the
+same numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -124,6 +122,14 @@ def _path_steps(config: RunConfig, dt: float) -> int:
     return steps_for_horizon(config.horizon_t, dt, "horizon.T")
 
 
+def _check_sample_stride(config: RunConfig, stride: int, key: str) -> None:
+    """Refuse, naming ``key``, a sample every ``stride`` steps on a run that is
+    shorter: its only sample would be the one at t = 0."""
+    steps = _path_steps(config, config.dt)
+    if stride > steps:
+        raise ValidationError(key, f"a sample every {stride} steps never fires in the run's {steps} steps")
+
+
 def _horizon_path(config: RunConfig, noise: NoiseModel, seed: int) -> WienerPath:
     """The path drawn from ``seed`` over horizon.T at scheme.dt."""
     return sample_wiener_path(noise, _path_steps(config, config.dt), config.dt, seed)
@@ -164,6 +170,7 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     """
     grid, noise = _grid_and_noise(config)
     stride = steps_for_horizon(config.mass_sample_dt, config.dt, "mass.sample_dt")
+    _check_sample_stride(config, stride, "mass.sample_dt")
     path = _horizon_path(config, noise, config.noise_seed)
     scheme = scheme_from_config(config)
     rows: list[tuple[float, float, float]] = []
@@ -204,27 +211,6 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine
     return errors
 
 
-def _usable_cpus() -> int:
-    # os.cpu_count() also counts CPUs that an affinity mask or cpuset keeps this process off
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_paths(worker, n: int, workers: int) -> list:
-    """``worker(i)`` for every path index i < n, in path order, on at most ``workers`` processes."""
-    # no more processes than paths or usable CPUs: under fork all of them start at the first submit
-    workers = min(workers, n, _usable_cpus())
-    if workers > 1:
-        # imported here: concurrent.futures.process pulls in multiprocessing,
-        # a cost every serial run would otherwise pay at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(n)))
-    return [worker(i) for i in range(n)]
-
-
 def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     """Strong-convergence study of the splitting scheme on coupled noise paths.
 
@@ -252,12 +238,11 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
             f"base_dt={config.converge_base_dt} halved "
             f"{config.converge_ref_level} times underflows a float"
         )
-    # the finest table is the largest: refuse it here, before paths fan out
+    # the finest table is the largest: refuse it here, before any path runs
     fine_steps = _path_steps(config, fine_dt)
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
     n_paths = config.converge_n_paths
-    worker = partial(_convergence_path_errors, config=config, fine_dt=fine_dt, fine_steps=fine_steps)
-    per_path = np.array(_map_paths(worker, n_paths, config.workers))
+    per_path = np.array([_convergence_path_errors(i, config, fine_dt, fine_steps) for i in range(n_paths)])
 
     errors = per_path.mean(axis=0)
     if n_paths > 1:
@@ -277,6 +262,7 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
 
 def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...], np.ndarray]:
     grid, noise = _grid_and_noise(config)
+    _check_sample_stride(config, config.energy_stride, "energy.stride")
     model = model_from_config(config)
     observer = Observer("energy", config.energy_stride, lambda n, t, v: energy(v, grid, model))
     path = _horizon_path(config, noise, path_seed(config.noise_seed, index))
@@ -289,7 +275,7 @@ def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...
 
 def run_energy_ensemble(config: RunConfig) -> EnsembleReport:
     """Midpoint energy series over an ensemble of independent noise paths."""
-    results = _map_paths(partial(_energy_path_series, config=config), config.energy_n_paths, config.workers)
+    results = [_energy_path_series(i, config) for i in range(config.energy_n_paths)]
     times = results[0][0]
     per_path = np.vstack([values for _, values in results])
     per_path.setflags(write=False)

@@ -146,9 +146,9 @@ def _check_alpha(alpha: float) -> float:
 def operator_symbols(grid: GridSpec, alpha: float) -> np.ndarray:
     """The fractional Laplacian's multiplier |k*mu|^(2*alpha), built once per (grid, alpha).
 
-    The array is in DFT ordering and read-only, so it may be shared freely
-    across workers.  Alpha is validated on a cache miss; the cache is typed,
-    so True never hits the entry of 1.0.  Repeated calls return the same array.
+    The array is in DFT ordering and read-only, so every caller may share it.
+    Alpha is validated on a cache miss; the cache is typed, so True never hits
+    the entry of 1.0.  Repeated calls return the same array.
     """
     alpha = _check_alpha(alpha)
     lap = np.abs(grid.wavenumbers()) ** (2.0 * alpha)

@@ -130,9 +130,14 @@ class TestExitCodes:
         )
         one_level = FAST_CONVERGE.replace("converge.levels = 3", "converge.levels = 1")
         coarse_ref = FAST_CONVERGE.replace("converge.ref_level = 4", "converge.ref_level = 2")
+        # a sampling interval longer than the run (T = 0.2 is 20 steps) would sample t = 0 alone
+        long_sample = FAST_MASS.replace("mass.sample_dt = 0.1", "mass.sample_dt = 20")
+        long_stride = FAST_ENERGY.replace("energy.stride = 5", "energy.stride = 21")
         for command, text, key in (
             ("mass-table", "model.alpha = 1.5", "model.alpha"),
             ("mass-table", overflow, "mass.sample_dt"),
+            ("mass-table", long_sample, "mass.sample_dt"),
+            ("energy", long_stride, "energy.stride"),
             ("converge", beyond, "converge.ref_level"),
             ("converge", tiny, "converge.ref_level"),
             ("converge", one_level, "converge.levels"),
@@ -168,7 +173,10 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(prefix)
 
     def test_unknown_key(self, tmp_path, capsys):
-        assert run_cli(["mass-table"], tmp_path, "model.alhpa = 0.5") == 1
+        # a removed key (experiments.workers) is refused like any unknown key, not ignored
+        for key, value in (("model.alhpa", "0.5"), ("experiments.workers", "2")):
+            assert run_cli(["mass-table"], tmp_path, f"{key} = {value}") == 1
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["mass-table", "--config", str(tmp_path / "absent.cfg")])
@@ -262,17 +270,9 @@ output.diagnostics_stride = 2
         assert np.all(np.isfinite(field.values))
 
 
-class TestWorkers:
-    def test_energy_csv_identical_across_workers(self, tmp_path):
-        for workers in (1, 2):
-            text = FAST_ENERGY + f"experiments.workers = {workers}\n"
-            assert run_cli(["energy", "--quiet", "--out", str(tmp_path / f"w{workers}")], tmp_path, text) == 0
-        assert (tmp_path / "w1" / "energy_ensemble.csv").read_bytes() == (
-            tmp_path / "w2" / "energy_ensemble.csv"
-        ).read_bytes()
-
-    def test_nonconvergence_reported_alike_across_workers(self, tmp_path, capsys):
-        # a path's NonConvergence crosses the process pool with its step intact
+class TestEnsembleFailure:
+    def test_nonconvergence_reported_alike_across_runs(self, tmp_path, capsys):
+        # a path's NonConvergence reaches the CLI with its step intact
         config = """
 grid.N = 64
 noise.K = 10
@@ -280,10 +280,11 @@ scheme.dt = 5
 horizon.T = 10
 scheme.fp_max_iter = 3
 energy.n_paths = 2
+energy.stride = 1
 """
         results = []
-        for workers in (1, 2):
-            code = run_cli(["energy", "--quiet"], tmp_path, config + f"experiments.workers = {workers}\n")
+        for _ in range(2):
+            code = run_cli(["energy", "--quiet"], tmp_path, config)
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
         assert results[0][0] == 2
@@ -447,7 +448,7 @@ def test_public_surface_is_pinned():
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
-    # a serial run never fans out, so it should not pay for multiprocessing
+    # paths run in one process, so start-up should not pay for multiprocessing
     probe = "import sys, sfnse.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -103,7 +103,6 @@ mass.alphas = 0.5, 0.75
             ("scheme.integrator", "rk4", "rk4"),
             ("noise.profile", "cos", "cos"),
             ("mass.alphas", "0.5, 2.0", (0.5, 2.0)),
-            ("experiments.workers", "0", 0),
             ("energy.n_paths", "0", 0),
             ("converge.n_paths", "0", 0),
             ("output.snapshot_stride", "-1", -1),

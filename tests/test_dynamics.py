@@ -102,8 +102,10 @@ class TestModelParams:
 
     def test_focusing_range_warning(self):
         for lam in (-1.0, -0.5):
-            with pytest.warns(UserWarning, match="global-existence"):
+            with pytest.warns(UserWarning, match="global-existence") as record:
                 ModelParams(alpha=0.5, lam=lam, sigma=1.0)
+            # the warning names the code that built the model, not the generated __init__
+            assert [w.filename for w in record] == [__file__]
         import warnings
 
         with warnings.catch_warnings():

@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import warnings
 from pathlib import Path
@@ -152,54 +151,6 @@ class TestConvergence:
         assert report.errors[0] > report.errors[1] > report.errors[2]
         mean_order = float(np.mean(report.orders))
         assert 0.85 <= mean_order <= 1.45, f"mean order {mean_order}"
-
-    def test_parallel_matches_serial_bit_for_bit(self):
-        serial = run_convergence_study(tiny_convergence_config(workers=1))
-        parallel = run_convergence_study(tiny_convergence_config(workers=2))
-        assert serial.errors == parallel.errors
-        assert serial.orders == parallel.orders
-        assert serial.ci_halfwidths == parallel.ci_halfwidths
-
-    def test_pool_capped_at_paths_and_cpus(self, monkeypatch):
-        # under fork a pool starts all max_workers processes at the first submit,
-        # so the size is recorded on a stand-in that starts none
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        # the affinity mask, not the machine's CPU count, bounds the pool
-        cases = (  # (cpu count, usable CPUs, workers, paths, pool size or None for a serial run)
-            (8, 4, 1000, 2, 2),
-            (8, 4, 1000, 10, 4),
-            (8, 4, 3, 10, 3),
-            (8, 4, 1000, 1, None),
-            (8, 1, 8, 10, None),
-            (None, 2, 8, 10, 2),
-            (4, None, 1000, 10, 4),  # usable None: no sched_getaffinity (macOS, Windows)
-            (4, None, 3, 10, 3),
-            (None, None, 8, 10, None),
-        )
-        for cpus, usable, workers, n, size in cases:
-            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-            if usable is None:
-                monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-            else:
-                monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
-            sizes.clear()
-            assert experiments._map_paths(lambda i: i * i, n, workers) == [i * i for i in range(n)]
-            assert sizes == ([] if size is None else [size])
 
     @pytest.mark.parametrize("levels, ref_level", [(3, 5), (3, 3)])  # reference strides 4 and 1
     def test_streamed_errors_match_stored_trajectories_bit_for_bit(self, levels, ref_level):
