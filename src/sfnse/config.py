@@ -16,6 +16,12 @@ module that owns the rule, or one of the shared checkers in ``spectral``
 (finite real > 0, finite real >= 0, integer >= a bound) that the solver
 constructors call too.  ``RunConfig`` applies every check on construction,
 so a config built in code is refused the same way as a parsed one.
+
+``RunConfig`` also owns the rules between keys: the grid ordering,
+``converge.ref_level`` above ``converge.levels - 1`` and its
+``converge.base_dt / 2^ref_level`` underflow, and the ``noise.K x grid.N``
+table guard.  A rule that needs a study's step count is checked once, at
+that study's entry in ``experiments``, before it builds a grid or a table.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ from .errors import DomainError, ParseError, UnknownKeyError, ValidationError
 from .noise import _check_profile, _check_philox_seed
 from .spectral import GridSpec, _check_alpha, _check_grid_n, _is_real
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative
+
+
+# cap on the steps x K increment table and on the K x N profile table: 256 MiB
+# of float64 each.  Both are built in place, so building one peaks at its own
+# size (sampling adds one noise._BLOCK of temporaries, about 2 MB)
+MAX_TABLE_ENTRIES = 2**25
 
 
 class _Malformed(Exception):
@@ -96,7 +108,11 @@ def _check(setting, value, name: str) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings for every experiment driver, checked on construction (ValidationError names the key)."""
+    """Settings for every experiment driver, checked on construction (ValidationError names the key).
+
+    Construction (``parse_config``, a direct call or ``dataclasses.replace``) applies each field's range check,
+    then the rules between keys; the checks on a study's step count run at that study's entry.
+    """
 
     grid_a: float = _setting("grid.a", -20.0, "left endpoint of the periodic domain [a, b)")
     grid_b: float = _setting("grid.b", 20.0, "right endpoint (excluded node)")
@@ -136,7 +152,9 @@ class RunConfig:
     converge_base_dt: float = _setting(
         "converge.base_dt", 0.01, "coarsest step of the convergence study", _check_above_zero
     )
-    converge_levels: int = _setting("converge.levels", 5, "number of halving levels (r = 0..levels-1)", _check_at_least)
+    converge_levels: int = _setting(
+        "converge.levels", 5, "number of halving levels (r = 0..levels-1)", lambda value: _check_at_least(value, 2)
+    )
     converge_ref_level: int = _setting(
         "converge.ref_level", 5, "reference halving level, must exceed levels-1", _check_at_least
     )
@@ -149,6 +167,16 @@ class RunConfig:
             GridSpec(self.grid_a, self.grid_b, self.grid_n)
         except DomainError as exc:
             raise ValidationError("grid.b", str(exc)) from None
+        ref, finest = self.converge_ref_level, self.converge_levels - 1
+        if ref <= finest:
+            raise ValidationError("converge.ref_level", f"reference level {ref} must exceed finest level {finest}")
+        # base_dt / 2**ref_level without forming 2**ref_level, which can be past any float
+        if math.ldexp(self.converge_base_dt, -ref) == 0.0:
+            raise ValidationError("converge.ref_level", f"converge.base_dt halved {ref} times underflows a float")
+        if self.noise_k * self.grid_n > MAX_TABLE_ENTRIES:
+            raise ValidationError(
+                "noise.K", f"K={self.noise_k} modes on N={self.grid_n} nodes need over {MAX_TABLE_ENTRIES} entries"
+            )
 
 
 _BY_KEY = {setting.metadata["key"]: setting for setting in fields(RunConfig)}

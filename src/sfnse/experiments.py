@@ -17,17 +17,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MAX_TABLE_ENTRIES, RunConfig
 from .diagnostics import energy, l2_error, mass, record_diagnostics
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
 from .errors import ValidationError
 from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
-
-# cap on the steps x K increment table and on the K x N profile table: 256 MiB
-# of float64 each.  Both are built in place, so building one peaks at its own
-# size (sampling adds one noise._BLOCK of temporaries, about 2 MB)
-MAX_TABLE_ENTRIES = 2**25
 
 
 @dataclass(frozen=True)
@@ -99,40 +94,28 @@ def scheme_from_config(config: RunConfig, dt: float | None = None) -> SchemePara
 
 
 def _grid_and_noise(config: RunConfig) -> tuple[GridSpec, NoiseModel]:
-    if config.noise_k * config.grid_n > MAX_TABLE_ENTRIES:
-        raise ValidationError(
-            "noise.K",
-            f"K={config.noise_k} modes on N={config.grid_n} nodes "
-            f"need a profile table above {MAX_TABLE_ENTRIES} entries"
-        )
     grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
     noise = build_noise_model(config.noise_k, grid, epsilon=config.epsilon, profile=config.noise_profile)
     return grid, noise
 
 
-def _path_steps(config: RunConfig, dt: float) -> int:
-    """Steps of dt over horizon.T, refused before any table is allocated if
-    the increment table would exceed MAX_TABLE_ENTRIES."""
+def _run_steps(config: RunConfig, dt: float, *strides: tuple[str, int]) -> int:
+    """Steps of dt over horizon.T, checked at a study's entry before any table is built.
+
+    Refuses an increment table above MAX_TABLE_ENTRIES, and each (key, stride)
+    longer than the run: a sample every stride steps would fire at t = 0 alone.
+    """
     if config.horizon_t / dt * config.noise_k > MAX_TABLE_ENTRIES:
         raise ValidationError(
             "horizon.T",
             f"T={config.horizon_t} at dt={dt} with K={config.noise_k} modes "
             f"needs an increment table above {MAX_TABLE_ENTRIES} entries"
         )
-    return steps_for_horizon(config.horizon_t, dt, "horizon.T")
-
-
-def _check_sample_stride(config: RunConfig, stride: int, key: str) -> None:
-    """Refuse, naming ``key``, a sample every ``stride`` steps on a run that is
-    shorter: its only sample would be the one at t = 0."""
-    steps = _path_steps(config, config.dt)
-    if stride > steps:
-        raise ValidationError(key, f"a sample every {stride} steps never fires in the run's {steps} steps")
-
-
-def _horizon_path(config: RunConfig, noise: NoiseModel, seed: int) -> WienerPath:
-    """The path drawn from ``seed`` over horizon.T at scheme.dt."""
-    return sample_wiener_path(noise, _path_steps(config, config.dt), config.dt, seed)
+    steps = steps_for_horizon(config.horizon_t, dt, "horizon.T")
+    for key, stride in strides:
+        if stride > steps:
+            raise ValidationError(key, f"a sample every {stride} steps never fires in the run's {steps} steps")
+    return steps
 
 
 def run_evolution(
@@ -148,14 +131,14 @@ def run_evolution(
     ``snapshot`` returns it.  Returns the grid, the final state and the
     records.
     """
+    diag, snap = config.diagnostics_stride, config.snapshot_stride
+    steps = _run_steps(config, config.dt, ("output.diagnostics_stride", diag), ("output.snapshot_stride", snap))
     grid, noise = _grid_and_noise(config)
     model = model_from_config(config)
-    observers = [Observer("diag", config.diagnostics_stride, lambda n, t, v: record_diagnostics(v, grid, model))]
-    if config.snapshot_stride > 0:
-        observers.append(
-            Observer("snap", config.snapshot_stride, lambda n, t, v: snapshot(n, ComplexField(v, time=t), grid))
-        )
-    path = _horizon_path(config, noise, config.noise_seed)
+    observers = [Observer("diag", diag, lambda n, t, v: record_diagnostics(v, grid, model))]
+    if snap > 0:
+        observers.append(Observer("snap", snap, lambda n, t, v: snapshot(n, ComplexField(v, time=t), grid)))
+    path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
     scheme = scheme_from_config(config)
     final, records = evolve(sech_carrier_initial(grid), config.integrator, model, scheme, grid, path, noise, observers)
     return grid, final, records
@@ -168,10 +151,10 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     noise path (the same path for every alpha), with the norm-form mass
     sampled every ``config.mass_sample_dt`` of model time.
     """
-    grid, noise = _grid_and_noise(config)
     stride = steps_for_horizon(config.mass_sample_dt, config.dt, "mass.sample_dt")
-    _check_sample_stride(config, stride, "mass.sample_dt")
-    path = _horizon_path(config, noise, config.noise_seed)
+    steps = _run_steps(config, config.dt, ("mass.sample_dt", stride))
+    grid, noise = _grid_and_noise(config)
+    path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
     scheme = scheme_from_config(config)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
@@ -222,25 +205,11 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     of successive errors.
     """
     levels = config.converge_levels
-    if levels < 2:
-        raise ValidationError("converge.levels", "convergence study needs at least 2 levels")
-    if config.converge_ref_level <= levels - 1:
-        raise ValidationError(
-            "converge.ref_level",
-            f"reference level {config.converge_ref_level} must be "
-            f"strictly finer than the finest test level {levels - 1}"
-        )
-    # base_dt / 2**ref_level without forming 2**ref_level, which can be past any float
-    fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
-    if fine_dt == 0.0:
-        raise ValidationError(
-            "converge.ref_level",
-            f"base_dt={config.converge_base_dt} halved "
-            f"{config.converge_ref_level} times underflows a float"
-        )
-    # the finest table is the largest: refuse it here, before any path runs
-    fine_steps = _path_steps(config, fine_dt)
+    # a whole number of base_dt steps makes the finer levels whole too, so a bad base_dt is named here
     steps_for_horizon(config.horizon_t, config.converge_base_dt, "converge.base_dt")
+    fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
+    # the finest table is the largest: refuse it here, before any path runs
+    fine_steps = _run_steps(config, fine_dt)
     n_paths = config.converge_n_paths
     per_path = np.array([_convergence_path_errors(i, config, fine_dt, fine_steps) for i in range(n_paths)])
 
@@ -260,12 +229,11 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     )
 
 
-def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...], np.ndarray]:
+def _energy_path_series(index: int, config: RunConfig, steps: int) -> tuple[tuple[float, ...], np.ndarray]:
     grid, noise = _grid_and_noise(config)
-    _check_sample_stride(config, config.energy_stride, "energy.stride")
     model = model_from_config(config)
     observer = Observer("energy", config.energy_stride, lambda n, t, v: energy(v, grid, model))
-    path = _horizon_path(config, noise, path_seed(config.noise_seed, index))
+    path = sample_wiener_path(noise, steps, config.dt, path_seed(config.noise_seed, index))
     scheme = scheme_from_config(config)
     _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
     times = tuple(time for _, time, _ in records["energy"])
@@ -275,7 +243,8 @@ def _energy_path_series(index: int, config: RunConfig) -> tuple[tuple[float, ...
 
 def run_energy_ensemble(config: RunConfig) -> EnsembleReport:
     """Midpoint energy series over an ensemble of independent noise paths."""
-    results = [_energy_path_series(i, config) for i in range(config.energy_n_paths)]
+    steps = _run_steps(config, config.dt, ("energy.stride", config.energy_stride))
+    results = [_energy_path_series(i, config, steps) for i in range(config.energy_n_paths)]
     times = results[0][0]
     per_path = np.vstack([values for _, values in results])
     per_path.setflags(write=False)

@@ -133,11 +133,18 @@ class TestExitCodes:
         # a sampling interval longer than the run (T = 0.2 is 20 steps) would sample t = 0 alone
         long_sample = FAST_MASS.replace("mass.sample_dt = 0.1", "mass.sample_dt = 20")
         long_stride = FAST_ENERGY.replace("energy.stride = 5", "energy.stride = 21")
+        long_diag = FAST_EVOLVE.replace("output.diagnostics_stride = 5", "output.diagnostics_stride = 50")
+        long_snap = FAST_EVOLVE.replace("output.snapshot_stride = 5", "output.snapshot_stride = 50")
+        # T = 0.1 is no whole number of 0.03 steps; the fine dt 0.03 / 16 is named through base_dt
+        uneven = FAST_CONVERGE.replace("converge.base_dt = 0.01", "converge.base_dt = 0.03")
         for command, text, key in (
             ("mass-table", "model.alpha = 1.5", "model.alpha"),
             ("mass-table", overflow, "mass.sample_dt"),
             ("mass-table", long_sample, "mass.sample_dt"),
             ("energy", long_stride, "energy.stride"),
+            ("evolve", long_diag, "output.diagnostics_stride"),
+            ("evolve", long_snap, "output.snapshot_stride"),
+            ("converge", uneven, "converge.base_dt"),
             ("converge", beyond, "converge.ref_level"),
             ("converge", tiny, "converge.ref_level"),
             ("converge", one_level, "converge.levels"),
@@ -227,6 +234,22 @@ class TestExitCodes:
             assert run_cli([command, "--quiet"], tmp_path, wide) == 1
             assert "noise.K" in capsys.readouterr().err
 
+    def test_refused_config_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("grid or increment table built")
+
+        monkeypatch.setattr(experiments, "build_grid", no_build)
+        monkeypatch.setattr(experiments, "sample_wiener_path", no_build)
+        long_diag = FAST_EVOLVE.replace("output.diagnostics_stride = 5", "output.diagnostics_stride = 50")
+        for command, text, key in (
+            ("mass-table", FAST_MASS.replace("mass.sample_dt = 0.1", "mass.sample_dt = 20"), "mass.sample_dt"),
+            ("energy", FAST_ENERGY.replace("energy.stride = 5", "energy.stride = 21"), "energy.stride"),
+            ("evolve", long_diag, "output.diagnostics_stride"),
+            ("converge", FAST_CONVERGE.replace("base_dt = 0.01", "base_dt = 0.03"), "converge.base_dt"),
+        ):
+            assert run_cli([command, "--quiet"], tmp_path, text) == 1
+            assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_nonconvergence_exit(self, tmp_path, capsys):
         config = """
 grid.N = 64
@@ -237,6 +260,7 @@ scheme.dt = 1
 scheme.fp_max_iter = 5
 noise.K = 4
 output.snapshot_stride = 0
+output.diagnostics_stride = 1
 """
         code = run_cli(["evolve", "--quiet"], tmp_path, config)
         assert code == 2

@@ -105,6 +105,8 @@ mass.alphas = 0.5, 0.75
             ("mass.alphas", "0.5, 2.0", (0.5, 2.0)),
             ("energy.n_paths", "0", 0),
             ("converge.n_paths", "0", 0),
+            ("converge.levels", "1", 1),
+            ("converge.ref_level", "4", 4),
             ("output.snapshot_stride", "-1", -1),
         ]:
             with pytest.raises(ValidationError) as info:

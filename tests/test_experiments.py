@@ -13,7 +13,7 @@ from sfnse.dynamics import Observer, evolve
 from sfnse.errors import ValidationError
 from sfnse.experiments import (
     _grid_and_noise,
-    _path_steps,
+    _run_steps,
     model_from_config,
     path_seed,
     run_convergence_study,
@@ -61,7 +61,7 @@ def stored_trajectory_errors(config):
     for index in range(config.converge_n_paths):
         grid, noise = _grid_and_noise(config)
         model = model_from_config(config)
-        fine = sample_wiener_path(noise, _path_steps(config, fine_dt), fine_dt, path_seed(config.noise_seed, index))
+        fine = sample_wiener_path(noise, _run_steps(config, fine_dt), fine_dt, path_seed(config.noise_seed, index))
         initial = sech_carrier_initial(grid)
 
         def trajectory(path, stride):
@@ -257,11 +257,10 @@ def test_table_guard_admits_every_shipped_config():
     shipped = sorted([*root.glob("configs/*.cfg"), *root.glob("perfbench/workloads/*.cfg")])
     assert len(shipped) >= 6
     for path in shipped:
-        config = parse_config(path.read_text(encoding="utf-8"))
-        experiments._grid_and_noise(config)  # raises ValidationError past the K x N guard
+        config = parse_config(path.read_text(encoding="utf-8"))  # raises ValidationError past the K x N guard
         fine_dt = config.converge_base_dt / 2**config.converge_ref_level
         for dt in (config.dt, fine_dt):
-            _path_steps(config, dt)  # raises ValidationError past the guard
+            _run_steps(config, dt)  # raises ValidationError past the increment-table guard
 
 
 def test_path_seed_is_stable_and_distinct():
