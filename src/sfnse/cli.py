@@ -4,8 +4,8 @@ Subcommands: ``evolve`` (single trajectory plus diagnostics), ``mass-table``,
 ``converge``, ``energy``, and ``selftest`` (quick operator/property battery).
 Exit codes: 0 success, 1 usage or config error (``_USAGE_ERRORS``), 2
 numerical failure (``NonConvergence``), 3 I/O error (``IoError``, ``OSError``).
-The environment variable SFNSE_SEED overrides the config seed; an explicit
---seed flag overrides both.
+SFNSE_SEED overrides the config seed and --seed overrides both; every
+override is text, parsed like its config key (``config._override``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import experiments
 from .config import RunConfig, _override, parse_config, write_default_config
 from .diagnostics import mass
 from .dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
-from .errors import DomainError, IoError, NonConvergence, ParseError, UnknownKeyError, ValidationError
+from .errors import DomainError, IoError, NonConvergence, ParseError, ValidationError
 from .noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from .output import write_csv, write_snapshot
 from .spectral import apply_frac_laplacian, build_grid
@@ -31,7 +31,7 @@ class _UsageError(Exception):
     pass
 
 
-_USAGE_ERRORS = (_UsageError, ParseError, ValidationError, UnknownKeyError, DomainError)
+_USAGE_ERRORS = (_UsageError, ParseError, ValidationError, DomainError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,10 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
 _FLAGS = {
     "--config": dict(type=Path, help="config file path"),
-    "--seed": dict(type=int, help="override the noise seed"),
-    "--out": dict(type=Path, help="output directory"),
+    "--seed": dict(help="override the noise seed"),
+    "--out": dict(help="output directory"),
     "--quiet": dict(action="store_true", help="suppress progress output"),
-    "--paths": dict(type=int, help="override the Monte Carlo path count"),
+    "--paths": dict(help="override the Monte Carlo path count"),
 }
 _RUN_FLAGS = ("--config", "--seed", "--out", "--quiet")
 
@@ -77,7 +77,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "paths", None) is not None:
         config = _override(config, "--paths", args.paths, "converge_n_paths", "energy_n_paths")
     if args.out is not None:
-        config = _override(config, "--out", str(args.out), "out_dir")
+        config = _override(config, "--out", args.out, "out_dir")
     return config
 
 
@@ -124,7 +124,7 @@ def _cmd_converge(args) -> int:
     report = experiments.run_convergence_study(config)
     rows = []
     for r, dt in enumerate(report.dts):
-        order = format(report.orders[r], ".17g") if r < len(report.orders) else ""
+        order = report.orders[r] if r < len(report.orders) else ""
         rows.append((dt, report.errors[r], report.ci_halfwidths[r], order))
     write_csv(out / "convergence.csv", ["dt", "error", "ci_halfwidth", "order"], rows)
     _say(args, f"errors: {['%.4g' % e for e in report.errors]}")

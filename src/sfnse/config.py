@@ -1,15 +1,17 @@
 """Flat key = value run configuration.
 
 The config format is deliberately minimal: one dotted key per line, '#'
-comments, UTF-8.  Unknown keys are rejected, malformed or non-finite literals
-are syntax errors with line/column positions, and out-of-range values are
-validation errors naming the offending key.  Unspecified keys fall back to the
-reference single-trajectory setup (sech carrier initial data on [-20, 20)
-with N = 400, dt = 0.01, defocusing cubic nonlinearity, 100 noise modes at
-amplitude 0.01, horizon T = 10).
+comments, UTF-8.  Unknown keys, duplicate keys and malformed or non-finite
+literals are syntax errors (``ParseError``) with line/column positions, and
+out-of-range values are validation errors naming the offending key.
+Unspecified keys fall back to the reference single-trajectory setup (sech
+carrier initial data on [-20, 20) with N = 400, dt = 0.01, defocusing cubic
+nonlinearity, 100 noise modes at amplitude 0.01, horizon T = 10).
 
 Each setting is declared once, as a ``RunConfig`` field: its annotation picks
-the literal parser and the type check, and ``_setting`` attaches the dotted
+its kind's entry in ``_KINDS`` (literal parser, type check, literal writer),
+which parses a file line and an override (``SFNSE_SEED``, ``--seed``,
+``--paths``, ``--out``) alike, as text.  ``_setting`` attaches the dotted
 key, the range check and the one-line comment that ``write_default_config``
 renders.  A range rule is never copied: a field calls the checker of the
 module that owns the rule, or one of the shared checkers in ``spectral``
@@ -31,7 +33,7 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from .dynamics import _stepper
-from .errors import DomainError, ParseError, UnknownKeyError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .noise import _check_profile, _check_philox_seed
 from .spectral import GridSpec, _check_alpha, _check_grid_n, _is_real
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative
@@ -44,7 +46,7 @@ MAX_TABLE_ENTRIES = 2**25
 
 
 class _Malformed(Exception):
-    """Internal: literal did not parse; converted to ParseError with position."""
+    """Internal: a literal did not parse; its caller names the line and column, or the override source."""
 
 
 def _parse_float(text: str) -> float:
@@ -77,30 +79,32 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in items)
 
 
-# field annotation (a string under postponed evaluation) -> literal parser
-_LITERALS = {"float": _parse_float, "int": _parse_int, "str": _parse_str, "tuple[float, ...]": _parse_float_list}
-
-
 def _setting(key: str, default, comment: str, check=lambda value: None):
     """A RunConfig field declaring its config key, range check (raising DomainError) and comment."""
     return field(default=default, metadata={"key": key, "comment": comment, "check": check})
 
 
-# field annotation -> test of admitted values; never a bool, though Python counts it an int
+# field annotation (a string under postponed evaluation) -> (literal parser, test of
+# admitted values, noun, literal writer); a bool is never admitted, though Python counts it an int
 _KINDS = {
-    "int": (lambda value: isinstance(value, numbers.Integral), "an integer"),
-    "float": (_is_real, "a finite real number"),
-    "str": (lambda value: isinstance(value, str), "a string"),
-    "tuple[float, ...]": (lambda value: isinstance(value, tuple) and len(value) > 0, "a non-empty tuple"),
+    "int": (_parse_int, lambda value: isinstance(value, numbers.Integral), "an integer", str),
+    "float": (_parse_float, _is_real, "a finite real number", repr),
+    "str": (_parse_str, lambda value: isinstance(value, str), "a string", str),
+    "tuple[float, ...]": (
+        _parse_float_list,
+        lambda value: isinstance(value, tuple) and len(value) > 0,
+        "a non-empty tuple",
+        lambda values: ", ".join(repr(item) for item in values),
+    ),
 }
 
 
 def _check(setting, value, name: str) -> None:
     """Apply the type and range check of field ``setting`` to ``value``; a failure names ``name``."""
-    kind = _KINDS.get(setting.type)
+    _, admits, noun, _ = _KINDS[setting.type]
     try:
-        if kind and (isinstance(value, bool) or not kind[0](value)):
-            raise DomainError(f"must be {kind[1]}, got {value!r}")
+        if isinstance(value, bool) or not admits(value):
+            raise DomainError(f"must be {noun}, got {value!r}")
         setting.metadata["check"](value)
     except DomainError as exc:
         raise ValidationError(name, str(exc)) from None
@@ -128,7 +132,7 @@ class RunConfig:
     )
     fp_max_iter: int = _setting("scheme.fp_max_iter", 50, "implicit-solver iteration cap", _check_at_least)
     noise_k: int = _setting("noise.K", 100, "retained noise modes", _check_at_least)
-    noise_profile: str = _setting("noise.profile", "sin", "spatial mode family", _check_profile)
+    noise_profile: str = _setting("noise.profile", "sin", "sin (a_l = 1/l) | unit (a_l = 1)", _check_profile)
     noise_seed: int = _setting(
         "noise.seed", 123456789, "master seed (overridden by SFNSE_SEED, then --seed)", _check_philox_seed
     )
@@ -197,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
         if not key:
             raise ParseError(lineno, 1, "missing key before '='")
         if key not in _BY_KEY:
-            raise UnknownKeyError(key, line=lineno)
+            raise ParseError(lineno, 1, f"unknown config key {key!r}")
         if key in seen:
             raise ParseError(lineno, 1, f"duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
@@ -205,24 +209,23 @@ def parse_config(text: str) -> RunConfig:
         value_col = line.index("=") + 1 + (len(value_part) - len(value_part.lstrip())) + 1
         setting = _BY_KEY[key]
         try:
-            value = _LITERALS[setting.type](value_text)
+            overrides[setting.name] = _KINDS[setting.type][0](value_text)
         except _Malformed as exc:
             raise ParseError(lineno, value_col, f"{key}: {exc}") from None
-        overrides[setting.name] = value
     return RunConfig(**overrides)
 
 
-def _override(config: RunConfig, name: str, value, *attrs: str) -> RunConfig:
-    """Set fields ``attrs`` to ``value`` (parsed first if a string) by their own checks, naming ``name``."""
+def _override(config: RunConfig, source: str, text: str, *attrs: str) -> RunConfig:
+    """Parse ``text`` as the literal of fields ``attrs`` and set them by their own checks, naming ``source``."""
     changes = {}
     for setting in fields(RunConfig):
         if setting.name in attrs:
             try:
-                item = _LITERALS[setting.type](value) if isinstance(value, str) else value
+                value = _KINDS[setting.type][0](text)
             except _Malformed as exc:
-                raise ValidationError(name, str(exc)) from None
-            _check(setting, item, name)
-            changes[setting.name] = item
+                raise ValidationError(source, str(exc)) from None
+            _check(setting, value, source)
+            changes[setting.name] = value
     return replace(config, **changes)
 
 
@@ -230,12 +233,6 @@ def write_default_config() -> str:
     """Render every key with its default value; parses back to RunConfig()."""
     lines = ["# default run configuration", ""]
     for setting in fields(RunConfig):
-        value = setting.default
-        if isinstance(value, tuple):
-            text = ", ".join(repr(item) for item in value)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
+        text = _KINDS[setting.type][3](setting.default)
         lines.append(f"{setting.metadata['key']} = {text}  # {setting.metadata['comment']}")
     return "\n".join(lines) + "\n"

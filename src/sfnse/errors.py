@@ -1,6 +1,8 @@
 """Exception types shared across the solver modules.
 
 One class per way a caller reacts; ``cli.main`` maps each to one exit code.
+A config line that does not parse, an unknown key among them, is a
+``ParseError``; a parsed value that is refused is a ``ValidationError``.
 """
 
 
@@ -23,7 +25,7 @@ class NonConvergence(RuntimeError):
 
 
 class ParseError(ValueError):
-    """Syntax error in a config file, with 1-based line and column."""
+    """A config file line that does not parse (bad literal, unknown or repeated key); 1-based line and column."""
 
     def __init__(self, line: int, column: int, message: str):
         super().__init__(f"line {line}, column {column}: {message}")
@@ -37,16 +39,6 @@ class ValidationError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
-
-
-class UnknownKeyError(ValueError):
-    """A config key does not name any known setting."""
-
-    def __init__(self, key: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"unknown config key {key!r}{where}")
-        self.key = key
-        self.line = line
 
 
 class IoError(RuntimeError):

@@ -62,17 +62,22 @@ class WienerPath:
         return self.increments.shape[0]
 
 
-def _sin_profiles(l, x):
-    # np.sin(np.pi * l * x) / l, built in its one (K, N) array
+def _unit_profiles(l, x):
+    # np.sin(np.pi * l * x), built in its one (K, N) array
     profiles = np.pi * l * x
-    np.sin(profiles, out=profiles)
+    return np.sin(profiles, out=profiles)
+
+
+def _sin_profiles(l, x):
+    # np.sin(np.pi * l * x) / l, the unit profiles divided in place
+    profiles = _unit_profiles(l, x)
     profiles /= l
     return profiles
 
 
 # built-in mode families: name -> profiles of the modes l (a column) at the
 # nodes x (a row), built in place so that the (K, N) table is the peak
-_PROFILES = {"sin": _sin_profiles}
+_PROFILES = {"sin": _sin_profiles, "unit": _unit_profiles}
 
 
 def _check_profile(profile: str) -> str:
@@ -84,8 +89,8 @@ def _check_profile(profile: str) -> str:
 def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str = "sin") -> NoiseModel:
     """Sample the noise mode profiles at the grid nodes.
 
-    ``profile`` names the built-in family; "sin" is (1/l) * sin(pi * l * x),
-    l = 1..K, sampled at the absolute coordinates of the grid nodes.
+    ``profile`` names the built-in family, l = 1..K, sampled at the absolute coordinates
+    of the grid nodes: "sin" is (1/l) * sin(pi * l * x) and "unit" is sin(pi * l * x).
     """
     K = _check_at_least(K, 1, "noise K")
     epsilon = _check_not_negative(epsilon, "noise amplitude epsilon")

@@ -8,6 +8,8 @@ is enabled by setting SFNSE_FULL_ACCEPTANCE=1.
 import functools
 import math
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,21 +39,8 @@ from operator_oracle import apply_g, dense_operator
 TABLE1_T0 = 1.414211518677561
 TABLE2_ERRORS = (2.681e-2, 1.345e-2, 6.448e-3, 2.861e-3, 1.087e-3)
 
-TABLE2_CONFIG = """
-grid.a = 0
-grid.b = 40
-grid.N = 400
-model.alpha = 0.75
-model.lambda = -1
-model.sigma = 0
-model.epsilon = 0.01
-horizon.T = 0.4
-converge.base_dt = 0.01
-converge.levels = 5
-converge.ref_level = 5
-converge.n_paths = 100
-noise.K = 100
-"""
+# the shipped config, so that criteria 4 and 4.5 test what users run
+TABLE2_CONFIG = (Path(__file__).resolve().parents[1] / "configs" / "table2_convergence.cfg").read_text()
 
 
 def criterion(number, name):
@@ -163,7 +152,7 @@ def test_criterion_4_strong_order():
 )
 @criterion(4.5, "paper-scale per-level errors (optional)")
 def test_criterion_4_optional_full_scale():
-    config = parse_config(TABLE2_CONFIG.replace("converge.n_paths = 100", "converge.n_paths = 500"))
+    config = replace(parse_config(TABLE2_CONFIG), converge_n_paths=500)
     report = run_convergence_study(config)
     for ours, published in zip(report.errors, TABLE2_ERRORS):
         assert published / 2 <= ours <= published * 2, (

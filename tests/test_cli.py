@@ -163,7 +163,6 @@ class TestExitCodes:
             errors.DomainError: (errors.DomainError("bad"), 1, "error: "),
             errors.ValidationError: (errors.ValidationError("model.alpha", "bad"), 1, "error: "),
             errors.ParseError: (errors.ParseError(1, 1, "bad"), 1, "error: "),
-            errors.UnknownKeyError: (errors.UnknownKeyError("model.alhpa"), 1, "error: "),
             errors.NonConvergence: (errors.NonConvergence("bad", 3, 1.0, step=2), 2, "numerical failure at step 2: "),
             errors.IoError: (errors.IoError("out", "bad"), 3, "i/o error: "),
         }
@@ -359,16 +358,22 @@ class TestSeedPlumbing:
             outputs.append((out / "evolve_diagnostics.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_bad_override_names_its_source(self, tmp_path, capsys):
+    def test_bad_override_names_its_source(self, tmp_path, monkeypatch, capsys):
+        # an empty --out would be the working directory; like output.dir = it is refused
+        monkeypatch.chdir(tmp_path)
         for flags, env_seed, name in (
             (["--paths", "0"], None, "--paths"),
+            (["--paths", "2.5"], None, "--paths"),
             (["--seed", "-1"], None, "--seed"),
+            (["--seed", "12x"], None, "--seed"),
+            (["--out", ""], None, "--out"),
             ([], "12x", "SFNSE_SEED"),
             ([], "-5", "SFNSE_SEED"),
         ):
             assert run_cli(["energy", "--quiet", *flags], tmp_path, FAST_ENERGY, env_seed=env_seed) == 1
             assert capsys.readouterr().err.startswith(f"error: {name}: ")
         assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_paths_flag_overrides(self, tmp_path):
         run_cli(["energy", "--quiet", "--paths", "3"], tmp_path, FAST_ENERGY)

@@ -43,9 +43,10 @@ def test_sampling_peaks_at_the_table_plus_one_block():
 def test_profiles_peak_at_the_table():
     # sin(pi l x) / l as one expression held two (K, N) arrays at once
     grid = build_grid(0.0, 40.0, 2048)
-    peak, model = traced_peak(lambda: build_noise_model(500, grid))
-    table = model.mode_profiles.nbytes
-    assert peak < table + 1 * MB
+    for profile in ("sin", "unit"):
+        peak, model = traced_peak(lambda: build_noise_model(500, grid, profile=profile))
+        table = model.mode_profiles.nbytes
+        assert peak < table + 1 * MB
 
 
 def test_coarsening_peaks_at_the_coarse_table_plus_one_block():

@@ -52,11 +52,13 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize("K, a, b, N", [(1, -20.0, 20.0, 400), (100, -20.0, 20.0, 400), (100, 0.0, 40.0, 4096)])
     def test_profiles_built_in_place_keep_their_bytes(self, K, a, b, N):
-        # the in-place build against the whole-array expression, every entry
+        # the in-place build against the whole-array expression, every entry of every family
         grid = build_grid(a, b, N)
         l = np.arange(1, K + 1, dtype=np.float64)[:, None]
         x = grid.nodes()[None, :]
-        assert np.array_equal(build_noise_model(K, grid).mode_profiles, np.sin(np.pi * l * x) / l)
+        whole = {"sin": np.sin(np.pi * l * x) / l, "unit": np.sin(np.pi * l * x)}
+        for profile, expected in whole.items():
+            assert np.array_equal(build_noise_model(K, grid, profile=profile).mode_profiles, expected)
 
     def test_zero_profile(self, grid):
         model = NoiseModel(0.5, np.zeros((1, 400)))
