@@ -5,7 +5,8 @@ Subcommands: ``evolve`` (single trajectory plus diagnostics), ``mass-table``,
 Exit codes: 0 success, 1 usage or config error (``_USAGE_ERRORS``), 2
 numerical failure (``NonConvergence``), 3 I/O error (``IoError``, ``OSError``).
 SFNSE_SEED overrides the config seed and --seed overrides both; every
-override is text, parsed like its config key (``config._override``).
+override is text, parsed like its config key (``config._override``), and a
+--config line that does not parse is reported after the file's name.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import numpy as np
 from . import experiments
 from .config import RunConfig, _override, parse_config, write_default_config
 from .diagnostics import mass
-from .dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
+from .dynamics import ModelParams, SchemeParams, evolve, midpoint_step
 from .errors import DomainError, IoError, NonConvergence, ParseError, ValidationError
-from .noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
+from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .output import write_csv, write_snapshot
-from .spectral import apply_frac_laplacian, build_grid
+from .spectral import ComplexField, apply_frac_laplacian, build_grid
 
 
 class _UsageError(Exception):
@@ -41,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FLAGS = {
-    "--config": dict(type=Path, help="config file path"),
+    "--config": dict(help="config file path"),
     "--seed": dict(help="override the noise seed"),
     "--out": dict(help="output directory"),
     "--quiet": dict(action="store_true", help="suppress progress output"),
@@ -61,14 +62,18 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args) -> RunConfig:
+    config = RunConfig()
     if args.config is not None:
+        if not args.config:  # Path("") is the working directory
+            raise ValidationError("--config", "empty value")
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise IoError(args.config, str(exc)) from exc
-    else:
-        text = ""
-    config = parse_config(text)
+        try:
+            config = parse_config(text)
+        except ParseError as exc:
+            raise _UsageError(f"{args.config}: {exc}") from None
     env_seed = os.environ.get("SFNSE_SEED")
     if env_seed is not None:
         config = _override(config, "SFNSE_SEED", env_seed, "noise_seed")
@@ -170,11 +175,10 @@ def _selftest_checks():
         model = ModelParams(0.75, -1.0, 0.0)
         noise = build_noise_model(8, grid, epsilon=0.01)
         path = sample_wiener_path(noise, 100, 0.01, seed=11)
-        v = 1.0 / np.cosh(grid.nodes() - np.pi) + 0j
-        m0 = mass(v, grid, "squared")
-        for n in range(100):
-            v = splitting_step(v, increment_field(path, n, noise, grid), model, SchemeParams(0.01), grid)
-        assert abs(mass(v, grid, "squared") - m0) < 1e-12 * m0
+        initial = ComplexField(1.0 / np.cosh(grid.nodes() - np.pi) + 0j)
+        m0 = mass(initial.values, grid, "squared")
+        final, _ = evolve(initial, "splitting", model, SchemeParams(0.01), grid, path, noise)
+        assert abs(mass(final.values, grid, "squared") - m0) < 1e-12 * m0
 
     def check_coarsen():
         noise = build_noise_model(4, grid, epsilon=1.0)

@@ -3,8 +3,9 @@
 Mass uses the rectangle rule h * sum |u_j|^2 on the periodic grid; energy
 evaluates its fractional kinetic term spectrally through the Parseval
 identity.  The symplecticity check differentiates a one-step map with frozen
-noise by central finite differences along fixed tangents and measures how
-far its Jacobian is from preserving the canonical two-form on (Re u, Im u).
+noise by central finite differences of a fixed size along fixed tangents and
+measures how far its Jacobian is from preserving the canonical two-form on
+(Re u, Im u).
 Every function takes states as length-N complex arrays.
 """
 
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import GridSpec, _check_above_zero, _fft, _field_values, operator_symbols
+from .spectral import GridSpec, _fft, _field_values, operator_symbols
 from .dynamics import ModelParams, SchemeParams
 
 _TANGENT_PAIRS = 8  # unit tangent pairs (xi, eta) the symplecticity check probes
 _TANGENT_SEED = 5  # seed of their complex Gaussian draws
+_FD_EPS = 1e-6  # central-difference size: balances truncation against cancellation for unit-scale states
 
 
 @dataclass(frozen=True)
@@ -87,20 +89,17 @@ def symplectic_defect(
     model: ModelParams,
     scheme: SchemeParams,
     grid: GridSpec,
-    fd_eps: float = 1e-6,
 ) -> float:
     """Largest change of the canonical two-form under the one-step map's Jacobian.
 
     With frozen noise increment the step is a smooth map of (p, q) =
     (Re u, Im u); ``stepper`` is an array step with the signature of
     ``midpoint_step``.  Along each of 8 fixed unit tangent pairs (xi, eta),
-    J xi is a central difference of size ``fd_eps`` (32 step calls at any N).
+    J xi is a central difference of size 1e-6 (32 step calls at any N).
     Returns max |omega(J xi, J eta) - omega(xi, eta)| for the canonical form
     omega(a, b) = Im <a, b>, which pairs p_j with q_j; an image that is not
-    finite gives inf.  The default fd_eps balances truncation against
-    cancellation for unit-scale states.
+    finite gives inf.
     """
-    _check_above_zero(fd_eps, "fd_eps")
     v = _field_values(v, grid)
     rng = np.random.default_rng(_TANGENT_SEED)
     shape = (_TANGENT_PAIRS, 2, grid.N)
@@ -108,8 +107,8 @@ def symplectic_defect(
     pairs /= np.linalg.norm(pairs, axis=-1, keepdims=True)
 
     def image(t: np.ndarray) -> np.ndarray:
-        forward = stepper(v + fd_eps * t, dW, model, scheme, grid)
-        return (forward - stepper(v - fd_eps * t, dW, model, scheme, grid)) / (2.0 * fd_eps)
+        forward = stepper(v + _FD_EPS * t, dW, model, scheme, grid)
+        return (forward - stepper(v - _FD_EPS * t, dW, model, scheme, grid)) / (2.0 * _FD_EPS)
 
     images = np.array([[image(xi), image(eta)] for xi, eta in pairs])
     if not np.all(np.isfinite(images)):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .noise import NoiseModel, WienerPath, increment_field
-from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _ifft, operator_symbols
+from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _field_values, _ifft, operator_symbols
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative, _is_real
 
 
@@ -76,9 +76,7 @@ class SchemeParams:
 
 def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     # a complex64 state is stepped as its complex128 cast, never in single precision
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (grid.N,):
-        raise DomainError(f"state length {v.shape} does not match grid N={grid.N}")
+    v = _field_values(v, grid)
     dW = np.asarray(dW, dtype=np.float64)
     if dW.shape != (grid.N,):
         raise DomainError(f"noise increment shape {dW.shape} does not match grid N={grid.N}")

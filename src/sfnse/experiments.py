@@ -38,7 +38,6 @@ class ConvergenceReport:
     dts: tuple[float, ...]
     errors: tuple[float, ...]
     orders: tuple[float, ...]
-    n_paths: int
     ci_halfwidths: tuple[float, ...]
 
 
@@ -224,7 +223,6 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
         dts=dts,
         errors=tuple(float(e) for e in errors),
         orders=tuple(float(o) for o in orders),
-        n_paths=n_paths,
         ci_halfwidths=tuple(float(c) for c in ci),
     )
 

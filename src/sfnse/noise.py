@@ -6,7 +6,8 @@ stream of a counter-based generator (Philox) keyed by the path seed: entry
 (n, l) of a K-mode table is word n*K + l of that stream.  Paths are
 independent because their keys differ, so they can be sampled concurrently
 with no shared generator state, and the coarse paths of a refinement study
-are exact block sums of their fine table (``coarsen_path``).
+are exact block sums of their fine table over a power-of-two number of rows
+(``coarsen_path``).
 
 Each raw Philox word becomes a normal deviate through Wichura's algorithm AS241
 (PPND16, Appl. Statist. 37(3), 1988), evaluated in plain numpy.  Over 2e6
@@ -50,10 +51,9 @@ class WienerPath:
     """Realized table of Brownian increments, ``steps`` rows by K modes.
 
     Each entry is Normal(0, dt).  Regenerating with the same seed reproduces
-    the table bit for bit; a coarsened path keeps the seed of its fine path.
+    the table bit for bit.
     """
 
-    seed: int
     dt: float
     increments: np.ndarray
 
@@ -211,32 +211,28 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
         _ndtri_block(_uniform_from_raw(words.random_raw(stop - start)), flat[start:stop])
     inc *= math.sqrt(dt)
     inc.setflags(write=False)
-    return WienerPath(int(seed), dt, inc)
+    return WienerPath(dt, inc)
 
 
 def _merge_rows(inc: np.ndarray, factor: int) -> np.ndarray:
-    # consecutive groups of ``factor`` rows summed: pairwise halving, then any odd remainder folded left to right
-    while factor % 2 == 0:
+    # consecutive groups of ``factor`` (a power of two) rows summed by pairwise halving
+    while factor > 1:
         inc = inc[0::2] + inc[1::2]
         factor //= 2
-    if factor > 1:
-        blocks = inc.reshape(inc.shape[0] // factor, factor, inc.shape[1])
-        inc = blocks[:, 0].copy()
-        for t in range(1, factor):
-            inc += blocks[:, t]
     return inc
 
 
 def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
     """Merge consecutive increments: coarse row n = sum of fine rows n*factor..(n+1)*factor-1.
 
-    Power-of-two factors are reduced by repeated pairwise halving so that
-    coarsen(coarsen(p, 2), 2) and coarsen(p, 4) agree bit for bit; any odd
-    remainder is folded left to right.  The coarse table is filled about
-    ``_BLOCK`` fine entries at a time, so building it costs its own size plus
-    one block.  dt is multiplied by the factor.
+    ``factor`` is a power of two, reduced by repeated pairwise halving so that
+    coarsen(coarsen(p, 2), 2) and coarsen(p, 4) agree bit for bit.  The coarse
+    table is filled about ``_BLOCK`` fine entries at a time, so building it
+    costs its own size plus one block.  dt is multiplied by the factor.
     """
     factor = _check_at_least(factor, 1, "coarsening factor")
+    if factor & (factor - 1):
+        raise DomainError(f"coarsening factor must be a power of two, got {factor}")
     if factor == 1:
         return path
     if path.steps % factor != 0:
@@ -248,7 +244,7 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
         stop = start + rows
         coarse[start:stop] = _merge_rows(fine[start * factor : stop * factor], factor)
     coarse.setflags(write=False)
-    return WienerPath(path.seed, path.dt * factor, coarse)
+    return WienerPath(path.dt * factor, coarse)
 
 
 def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec) -> np.ndarray:

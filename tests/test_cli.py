@@ -184,6 +184,20 @@ class TestExitCodes:
             assert run_cli(["mass-table"], tmp_path, f"{key} = {value}") == 1
             assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    def test_parse_error_names_the_config_file(self, tmp_path, monkeypatch, capsys):
+        # SFNSE_SEED and the flags are inputs too, so a bad line says which file it is in
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("model.alhpa = 1\n")
+        assert main(["evolve", "--config", "bad.cfg"]) == 1
+        assert capsys.readouterr().err == "error: bad.cfg: line 1, column 1: unknown config key 'model.alhpa'\n"
+
+    def test_empty_config_path_refused(self, tmp_path, monkeypatch, capsys):
+        # Path("") is the working directory: reading it would be an i/o error, not a usage error
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--config", "", "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: --config: empty value\n"
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["mass-table", "--config", str(tmp_path / "absent.cfg")])
         assert code == 3

@@ -131,13 +131,8 @@ class TestSymplecticDefect:
         g = build_grid(0.0, 2.0 * np.pi, 8)
         model = ModelParams(0.75, 0.0, 0.0)
         scheme = SchemeParams(dt=0.02)
-        defect = symplectic_defect(
-            midpoint_step, random_state(g, 5), np.zeros(8), model, scheme, g, fd_eps=1e-6
-        )
+        defect = symplectic_defect(midpoint_step, random_state(g, 5), np.zeros(8), model, scheme, g)
         assert defect <= 1e-9
-        for fd_eps in (0.0, -1e-6, np.nan, np.inf):
-            with pytest.raises(DomainError, match="fd_eps must be finite and > 0"):
-                symplectic_defect(midpoint_step, random_state(g, 5), np.zeros(8), model, scheme, g, fd_eps=fd_eps)
 
     def test_nonlinear_midpoint_with_frozen_noise(self):
         g = build_grid(0.0, 2.0 * np.pi, 8)
@@ -145,9 +140,7 @@ class TestSymplecticDefect:
         scheme = SchemeParams(dt=0.02, fp_tol=1e-14)
         rng = np.random.default_rng(6)
         dW = 0.1 * rng.standard_normal(8)
-        defect = symplectic_defect(
-            midpoint_step, random_state(g, 7, scale=0.5), dW, model, scheme, g, fd_eps=1e-6
-        )
+        defect = symplectic_defect(midpoint_step, random_state(g, 7, scale=0.5), dW, model, scheme, g)
         assert defect <= 1e-5
 
     def test_splitting_linear_with_frozen_noise(self):
@@ -156,9 +149,7 @@ class TestSymplecticDefect:
         scheme = SchemeParams(dt=0.02)
         rng = np.random.default_rng(8)
         dW = 0.2 * rng.standard_normal(8)
-        defect = symplectic_defect(
-            splitting_step, random_state(g, 9), dW, model, scheme, g, fd_eps=1e-6
-        )
+        defect = symplectic_defect(splitting_step, random_state(g, 9), dW, model, scheme, g)
         assert defect <= 1e-9
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

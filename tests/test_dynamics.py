@@ -363,7 +363,7 @@ class TestEvolve:
 
     def test_zero_steps_returns_initial(self):
         grid, model, scheme, noise, _ = self._setup()
-        empty = WienerPath(seed=0, dt=scheme.dt, increments=np.empty((0, 4)))
+        empty = WienerPath(dt=scheme.dt, increments=np.empty((0, 4)))
         initial = ComplexField(random_state(grid, 15))
         final, records = evolve(initial, "splitting", model, scheme, grid, empty, noise)
         assert np.array_equal(final.values, initial.values) and final.time == initial.time
