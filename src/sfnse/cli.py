@@ -70,6 +70,8 @@ def _load_config(args) -> RunConfig:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise IoError(args.config, str(exc)) from exc
+        except UnicodeDecodeError as exc:  # unreadable as text: a malformed config, not an i/o failure
+            raise _UsageError(f"{args.config}: {exc}") from None
         try:
             config = parse_config(text)
         except ParseError as exc:

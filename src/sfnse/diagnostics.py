@@ -69,7 +69,9 @@ def energy(v, grid: GridSpec, model: ModelParams) -> float:
 def l2_error(a, b, grid: GridSpec) -> float:
     """Discrete l2 distance sqrt(h * sum_j |a_j - b_j|^2)."""
     va, vb = _field_values(a, grid), _field_values(b, grid)
-    return math.sqrt(grid.h * float(np.sum(np.abs(va - vb) ** 2)))
+    d = np.abs(va - vb)
+    np.multiply(d, d, out=d)
+    return math.sqrt(grid.h * float(np.add.reduce(d)))
 
 
 def record_diagnostics(v, grid: GridSpec, model: ModelParams) -> DiagnosticsRecord:

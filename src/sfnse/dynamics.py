@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .noise import NoiseModel, WienerPath, increment_field
-from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _field_values, _ifft, operator_symbols
+from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _field_values, _frac_multiplier, _ifft
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative, _is_real
 
 
@@ -90,11 +90,12 @@ class _StepSymbols(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _step_symbols(grid: GridSpec, alpha: float, dt: float) -> _StepSymbols:
-    # the dt-dependent symbols of both schemes, built once per (grid, alpha, dt)
+def _step_symbols(N: int, mu: float, alpha: float, dt: float) -> _StepSymbols:
+    # the dt-dependent symbols of both schemes, built once per (N, mu, alpha, dt)
     # rather than per step: exp(-i dt L) alone costs about a quarter of a
-    # splitting step at N = 400
-    lap = operator_symbols(grid, alpha)
+    # splitting step at N = 400.  Keyed on the grid's numbers, like
+    # spectral._frac_multiplier, not on the GridSpec itself
+    lap = _frac_multiplier(N, mu, alpha)
     symbols = _StepSymbols(np.exp(-1j * dt * lap), -1j / (2.0 + 1j * dt * lap), -dt * lap)
     for symbol in symbols:
         symbol.setflags(write=False)
@@ -134,7 +135,7 @@ def midpoint_step(
     """
     v, dW = _check_step_args(v, dW, grid)
     dt = scheme.dt
-    symbols = _step_symbols(grid, model.alpha, dt)
+    symbols = _step_symbols(grid.N, grid.mu, model.alpha, dt)
     phi_hat = _fft(v)
     base = 2j * phi_hat * symbols.gain  # 2 phi^ / (2 I + i dt L)
     lam_dt = model.lam * dt
@@ -196,7 +197,7 @@ def splitting_step(
         phase = np.exp(-1j * (dt * model.lam + dW))
     else:
         phase = np.exp(-1j * (dt * model.lam * np.abs(v) ** (2.0 * model.sigma) + dW))
-    return _ifft(_fft(v * phase) * _step_symbols(grid, model.alpha, dt).flow)
+    return _ifft(_fft(v * phase) * _step_symbols(grid.N, grid.mu, model.alpha, dt).flow)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,14 +29,15 @@ from .spectral import GridSpec, _check_above_zero, _check_at_least, _check_not_n
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Spatial side of the noise: K mode profiles sampled at the grid nodes.
 
     ``mode_profiles`` has shape (K, N), which gives ``K``, and is read-only.
     ``epsilon`` scales whole noise fields at evaluation time and is never
     baked into increment tables.  Both schemes consume Stratonovich
-    increments directly, so no Ito correction field is kept.
+    increments directly, so no Ito correction field is kept.  A model
+    compares and hashes by identity.
     """
 
     epsilon: float
@@ -46,12 +48,12 @@ class NoiseModel:
         return self.mode_profiles.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WienerPath:
     """Realized table of Brownian increments, ``steps`` rows by K modes.
 
     Each entry is Normal(0, dt).  Regenerating with the same seed reproduces
-    the table bit for bit.
+    the table bit for bit.  A path compares and hashes by identity.
     """
 
     dt: float
@@ -247,8 +249,43 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
     return WienerPath(path.dt * factor, coarse)
 
 
+# steps per noise block: the fields of steps s..s+15 (s a multiple of 16) are
+# the rows of one matrix product.  With K = 100 and one BLAS thread on a
+# 2-vCPU Xeon, a field taken in step order cost 2.6 us against 7.4 us for one
+# matrix-vector product per step at N = 400, and 28 against 138 us at N = 4096
+_FIELD_ROWS = 16
+
+
+@lru_cache(maxsize=1)
+def _field_block(path: WienerPath, model: NoiseModel, s: int) -> np.ndarray:
+    # the fields of steps s.. up to s + _FIELD_ROWS - 1, dropped by
+    # increment_field once its last row is served.  The key holds path and
+    # model, so their ids are not reused while the entry lives.  A 1-row product
+    # would take the GEMV kernel, whose last bits differ from a GEMM row's, so a
+    # 1-row block is computed as the last 2 rows (the row twice on a 1-step path)
+    inc = path.increments
+    rows = inc[s : s + _FIELD_ROWS]
+    lead = 0
+    if rows.shape[0] == 1:
+        rows, lead = inc[[max(s - 1, 0), s]], 1
+    block = rows @ model.mode_profiles
+    block *= model.epsilon
+    return block[lead:]
+
+
 def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec) -> np.ndarray:
-    """Spatial noise increment over step n: epsilon * sum_l profile_l(x) * db_l[n]."""
+    """Spatial noise increment over step n: epsilon * sum_l profile_l(x) * db_l[n].
+
+    The field is row n - s of ``epsilon * (path.increments[s:e] @ model.mode_profiles)``,
+    with s = n - n % 16 and e = min(s + 16, steps); a block of one row is
+    widened to the path's last 2 rows (s = steps - 2), or to the row twice on a
+    1-step path.  The product of one block is kept for the next call until
+    its last row is asked for, so stepping through a path costs one matrix
+    product per 16 steps and holds nothing after its last step.  On one
+    numpy and BLAS build, row n of a product of 2 to 128 rows has the same
+    bytes whatever the other rows, so the field does not depend on the order
+    of the calls.  The returned array is the caller's own.
+    """
     if not 0 <= n < path.steps:
         raise IndexError(f"step index {n} outside 0..{path.steps - 1}")
     if path.increments.shape[1] != model.K:
@@ -259,5 +296,10 @@ def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec)
         raise DomainError(
             f"noise model sampled at N={model.mode_profiles.shape[1]}, grid has N={grid.N}"
         )
-    return model.epsilon * (path.increments[n] @ model.mode_profiles)
-
+    s = n - n % _FIELD_ROWS
+    block = _field_block(path, model, s)
+    if n - s == block.shape[0] - 1:
+        # the block's last row: drop the entry now, so that the next block is
+        # not built beside it and no path or model outlives its last step
+        _field_block.cache_clear()
+    return block[n - s].copy()

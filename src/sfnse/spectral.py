@@ -71,7 +71,11 @@ class GridSpec:
 
     def wavenumbers(self) -> np.ndarray:
         """Physical wavenumbers k*mu in DFT ordering k = 0..N/2-1, -N/2..-1."""
-        return self.mu * np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return _wavenumbers(self.N, self.mu)
+
+
+def _wavenumbers(N: int, mu: float) -> np.ndarray:
+    return mu * np.fft.fftfreq(N, d=1.0 / N)
 
 
 def _check_grid_n(N: int) -> None:
@@ -142,16 +146,23 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-@lru_cache(maxsize=128, typed=True)
 def operator_symbols(grid: GridSpec, alpha: float) -> np.ndarray:
-    """The fractional Laplacian's multiplier |k*mu|^(2*alpha), built once per (grid, alpha).
+    """The fractional Laplacian's multiplier |k*mu|^(2*alpha), built once per (N, mu, alpha).
 
     The array is in DFT ordering and read-only, so every caller may share it.
     Alpha is validated on a cache miss; the cache is typed, so True never hits
     the entry of 1.0.  Repeated calls return the same array.
     """
+    return _frac_multiplier(grid.N, grid.mu, alpha)
+
+
+@lru_cache(maxsize=128, typed=True)
+def _frac_multiplier(N: int, mu: float, alpha: float) -> np.ndarray:
+    # keyed on plain numbers, not on the GridSpec: its generated __hash__ and
+    # __eq__ run in Python on every lookup, and each converge path builds its
+    # own grid
     alpha = _check_alpha(alpha)
-    lap = np.abs(grid.wavenumbers()) ** (2.0 * alpha)
+    lap = np.abs(_wavenumbers(N, mu)) ** (2.0 * alpha)
     lap.setflags(write=False)
     return lap
 

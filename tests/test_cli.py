@@ -191,6 +191,14 @@ class TestExitCodes:
         assert main(["evolve", "--config", "bad.cfg"]) == 1
         assert capsys.readouterr().err == "error: bad.cfg: line 1, column 1: unknown config key 'model.alhpa'\n"
 
+    def test_config_not_utf8(self, tmp_path, monkeypatch, capsys):
+        # a byte that is no UTF-8 is a malformed config, named by its file like a bad line
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_bytes(b"grid.N = 64\n\xff\n")
+        assert main(["evolve", "--config", "bad.cfg", "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: bad.cfg: 'utf-8' codec can't decode byte 0xff")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
     def test_empty_config_path_refused(self, tmp_path, monkeypatch, capsys):
         # Path("") is the working directory: reading it would be an i/o error, not a usage error
         monkeypatch.chdir(tmp_path)

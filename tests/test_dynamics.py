@@ -476,3 +476,18 @@ class TestEvolve:
             calls.clear()
             evolve(ComplexField(random_state(grid, 21)), integrator, model, scheme, grid, path, noise)
             assert calls == ["field", integrator] * 3
+
+    def test_evolve_steps_with_the_public_fields(self, monkeypatch):
+        # 17 steps: a full block, then a 1-row final block
+        grid, model, scheme, noise, path = self._setup(steps=17)
+        for integrator in ("midpoint", "splitting"):
+            seen = []
+            step = dynamics._STEPPERS[integrator]
+
+            def capture(v, dW, *args, step=step):
+                seen.append(dW.tobytes())
+                return step(v, dW, *args)
+
+            monkeypatch.setitem(dynamics._STEPPERS, integrator, capture)
+            evolve(ComplexField(random_state(grid, 22)), integrator, model, scheme, grid, path, noise)
+            assert seen == [increment_field(path, n, noise, grid).tobytes() for n in range(path.steps)]

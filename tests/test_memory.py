@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 from sfnse.cli import main
-from sfnse.noise import build_noise_model, coarsen_path, sample_wiener_path
+from sfnse.noise import _FIELD_ROWS, build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from sfnse.output import read_snapshot
 from sfnse.spectral import build_grid
 
@@ -58,6 +58,21 @@ def test_coarsening_peaks_at_the_coarse_table_plus_one_block():
     for factor in (4, 32):
         peak, coarse = traced_peak(lambda: coarsen_path(path, factor))
         assert peak < coarse.increments.nbytes + 3 * MB
+
+
+def test_field_blocks_peak_at_one_block():
+    # stepping through a 1000-step path at N = 4096 keeps one block of fields,
+    # never the path's whole (1000, N) field table
+    grid = build_grid(0.0, 40.0, 4096)
+    model = build_noise_model(10, grid, epsilon=0.01)
+    path = sample_wiener_path(model, 1000, 0.01, seed=5)
+
+    def fields():
+        for n in range(path.steps):
+            increment_field(path, n, model, grid)
+
+    peak, _ = traced_peak(fields)
+    assert peak < _FIELD_ROWS * grid.N * 8 + 1 * MB
 
 
 def test_evolve_peak_does_not_grow_with_its_snapshots(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sfnse.errors import DomainError
 from sfnse.noise import (
     _BLOCK,
+    _FIELD_ROWS,
     NoiseModel,
     WienerPath,
     _ndtri_block,
@@ -267,6 +269,71 @@ class TestIncrementField:
         path = sample_wiener_path(model, 3, 0.1, seed=15)
         with pytest.raises(DomainError, match="noise model sampled at N=400, grid has N=8"):
             increment_field(path, 0, model, other)
+
+
+def block_row(path, model, n):
+    """Row n of epsilon * (inc[s:e] @ P) over the block of at least 2 rows that holds step n."""
+    inc = path.increments
+    if path.steps == 1:
+        return (model.epsilon * (np.vstack((inc, inc)) @ model.mode_profiles))[0]
+    s = n - n % _FIELD_ROWS
+    e = min(s + _FIELD_ROWS, path.steps)
+    s = min(s, e - 2)  # a 1-row final block is its path's last 2 rows
+    return (model.epsilon * (inc[s:e] @ model.mode_profiles))[n - s]
+
+
+class TestFieldBlocks:
+    """A field is one row of a block product, the same bytes whatever was asked before it."""
+
+    def test_every_call_order(self, grid):
+        model = build_noise_model(100, grid, epsilon=0.01)
+        path = sample_wiener_path(model, 40, 0.01, seed=16)
+        expected = [block_row(path, model, n) for n in range(path.steps)]
+        shuffled = np.random.default_rng(0).permutation(path.steps)
+        for order in (range(path.steps), reversed(range(path.steps)), shuffled):
+            for n in order:
+                assert increment_field(path, int(n), model, grid).tobytes() == expected[n].tobytes()
+
+    def test_two_paths_interleaved(self, grid):
+        model = build_noise_model(100, grid, epsilon=0.01)
+        paths = [sample_wiener_path(model, 20, 0.01, seed=seed) for seed in (17, 18)]
+        for n in range(20):
+            for path in paths:
+                assert increment_field(path, n, model, grid).tobytes() == block_row(path, model, n).tobytes()
+
+    def test_last_step_of_a_one_row_block(self, grid):
+        # 33 steps: the block of step 32 would hold that row alone
+        model = build_noise_model(100, grid, epsilon=0.01)
+        path = sample_wiener_path(model, 2 * _FIELD_ROWS + 1, 0.01, seed=19)
+        last = path.steps - 1
+        expected = (model.epsilon * (path.increments[last - 1 :] @ model.mode_profiles))[1]
+        cold = increment_field(path, last, model, grid)
+        increment_field(path, last - 1, model, grid)
+        assert cold.tobytes() == increment_field(path, last, model, grid).tobytes() == expected.tobytes()
+
+    def test_one_step_path(self, grid):
+        model = build_noise_model(100, grid, epsilon=0.01)
+        path = sample_wiener_path(model, 1, 0.01, seed=20)
+        assert increment_field(path, 0, model, grid).tobytes() == block_row(path, model, 0).tobytes()
+
+    def test_caller_owns_the_field(self, grid):
+        # writing into a returned field must not reach the next call's value
+        model = build_noise_model(10, grid, epsilon=0.01)
+        path = sample_wiener_path(model, 8, 0.01, seed=21)
+        field = increment_field(path, 2, model, grid)
+        field[:] = 0.0
+        assert increment_field(path, 2, model, grid).tobytes() == block_row(path, model, 2).tobytes()
+
+    def test_no_path_outlives_its_last_step(self, grid):
+        # the cached block goes with its last row, so a path stepped to its end
+        # is freed with its last reference, not at the next path's first field
+        model = build_noise_model(10, grid, epsilon=0.01)
+        path = sample_wiener_path(model, 2 * _FIELD_ROWS + 3, 0.01, seed=22)
+        for n in range(path.steps):
+            increment_field(path, n, model, grid)
+        alive = weakref.ref(path)
+        del path
+        assert alive() is None
 
 
 def test_fractional_integers_refused_not_truncated(grid):
