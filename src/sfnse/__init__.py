@@ -8,7 +8,6 @@ from .diagnostics import (
     l2_error,
     mass,
     record_diagnostics,
-    symplectic_defect,
 )
 from .dynamics import (
     ModelParams,
@@ -41,7 +40,6 @@ from .spectral import (
     GridSpec,
     apply_frac_laplacian,
     build_grid,
-    operator_symbols,
     transform,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "l2_error",
     "mass",
     "midpoint_step",
-    "operator_symbols",
     "parse_config",
     "read_snapshot",
     "record_diagnostics",
@@ -78,7 +75,6 @@ __all__ = [
     "sample_wiener_path",
     "sech_carrier_initial",
     "splitting_step",
-    "symplectic_defect",
     "transform",
     "write_csv",
     "write_default_config",

@@ -178,9 +178,9 @@ def _selftest_checks():
         noise = build_noise_model(8, grid, epsilon=0.01)
         path = sample_wiener_path(noise, 100, 0.01, seed=11)
         initial = ComplexField(1.0 / np.cosh(grid.nodes() - np.pi) + 0j)
-        m0 = mass(initial.values, grid, "squared")
+        m0 = mass(initial.values, grid) ** 2
         final, _ = evolve(initial, "splitting", model, SchemeParams(0.01), grid, path, noise)
-        assert abs(mass(final.values, grid, "squared") - m0) < 1e-12 * m0
+        assert abs(mass(final.values, grid) ** 2 - m0) < 1e-12 * m0
 
     def check_coarsen():
         noise = build_noise_model(4, grid, epsilon=1.0)

@@ -146,30 +146,36 @@ def midpoint_step(
     psi = v
     forcing_prev = symbols.neg_dt_lap * phi_hat  # f_{-1}: (2 I + i dt L) phi^ = 2 phi^ - i f_{-1}
     residual = math.inf
-    for evals in range(1, scheme.fp_max_iter + 1):
-        multiplier = np.abs(psi)
-        multiplier **= two_sigma
-        multiplier *= lam_dt
-        multiplier += dW
-        forcing = _fft(multiplier * psi)
-        change = forcing - forcing_prev
-        residual = residual_scale * math.sqrt(np.vdot(change, change).real)
-        if residual <= scheme.fp_tol:
-            return 2.0 * psi - v
-        if not math.isfinite(residual):
+    # a diverging iterate overflows on its way to a non-finite residual, which
+    # raises NonConvergence below; numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evals in range(1, scheme.fp_max_iter + 1):
+            multiplier = np.abs(psi)
+            multiplier **= two_sigma
+            multiplier *= lam_dt
+            multiplier += dW
+            forcing = _fft(multiplier * psi)
+            change = forcing - forcing_prev
+            residual = residual_scale * math.sqrt(np.vdot(change, change).real)
+            if residual <= scheme.fp_tol:
+                break
+            if not math.isfinite(residual):
+                raise NonConvergence(
+                    f"midpoint fixed point diverged after {evals} evaluations (dt too large?)",
+                    iterations=evals,
+                    residual=math.inf,
+                )
+            psi = _ifft(base + symbols.gain * forcing)
+            forcing_prev = forcing
+        else:
             raise NonConvergence(
-                f"midpoint fixed point diverged after {evals} evaluations (dt too large?)",
-                iterations=evals,
-                residual=math.inf,
+                f"midpoint fixed point stalled at residual {residual:.3e} "
+                f"after {scheme.fp_max_iter} evaluations (dt too large?)",
+                iterations=scheme.fp_max_iter,
+                residual=float(residual),
             )
-        psi = _ifft(base + symbols.gain * forcing)
-        forcing_prev = forcing
-    raise NonConvergence(
-        f"midpoint fixed point stalled at residual {residual:.3e} "
-        f"after {scheme.fp_max_iter} evaluations (dt too large?)",
-        iterations=scheme.fp_max_iter,
-        residual=float(residual),
-    )
+    # outside the block, so an accepted iterate cannot overflow silently
+    return 2.0 * psi - v
 
 
 def splitting_step(

@@ -157,7 +157,7 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     scheme = scheme_from_config(config)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
-        observer = Observer("mass", stride, lambda n, t, v: mass(v, grid, "norm"))
+        observer = Observer("mass", stride, lambda n, t, v: mass(v, grid))
         model = model_from_config(config, alpha)
         _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
         rows.extend((time, alpha, value) for _, time, value in records["mass"])

@@ -146,21 +146,14 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def operator_symbols(grid: GridSpec, alpha: float) -> np.ndarray:
-    """The fractional Laplacian's multiplier |k*mu|^(2*alpha), built once per (N, mu, alpha).
-
-    The array is in DFT ordering and read-only, so every caller may share it.
-    Alpha is validated on a cache miss; the cache is typed, so True never hits
-    the entry of 1.0.  Repeated calls return the same array.
-    """
-    return _frac_multiplier(grid.N, grid.mu, alpha)
-
-
 @lru_cache(maxsize=128, typed=True)
 def _frac_multiplier(N: int, mu: float, alpha: float) -> np.ndarray:
-    # keyed on plain numbers, not on the GridSpec: its generated __hash__ and
-    # __eq__ run in Python on every lookup, and each converge path builds its
-    # own grid
+    # The multiplier |k*mu|^(2*alpha) in DFT ordering, built once per (N, mu,
+    # alpha) and read-only, so every caller shares the same array.  Alpha is
+    # checked on a cache miss; the cache is typed, so True never hits the
+    # entry of 1.0.  It is keyed on plain numbers, not on the GridSpec: its
+    # generated __hash__ and __eq__ run in Python on every lookup, and each
+    # converge path builds its own grid
     alpha = _check_alpha(alpha)
     lap = np.abs(_wavenumbers(N, mu)) ** (2.0 * alpha)
     lap.setflags(write=False)
@@ -198,4 +191,4 @@ def apply_frac_laplacian(v, grid: GridSpec, alpha: float) -> np.ndarray:
     callers: time-stepping schemes apply their own signs to this positive
     operator.
     """
-    return _ifft(_fft(_field_values(v, grid)) * operator_symbols(grid, alpha))
+    return _ifft(_fft(_field_values(v, grid)) * _frac_multiplier(grid.N, grid.mu, alpha))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sfnse.config import parse_config
-from sfnse.diagnostics import energy, mass, symplectic_defect
+from sfnse.diagnostics import energy, mass
 from sfnse.dynamics import (
     ModelParams,
     Observer,
@@ -32,9 +32,9 @@ from sfnse.experiments import (
 )
 from sfnse.noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from sfnse.output import write_csv
-from sfnse.spectral import ComplexField, apply_frac_laplacian, build_grid, operator_symbols
+from sfnse.spectral import ComplexField, _frac_multiplier, apply_frac_laplacian, build_grid
 
-from operator_oracle import apply_g, dense_operator
+from operator_oracle import apply_g, dense_operator, dense_symplectic_defect, symplectic_defect
 
 TABLE1_T0 = 1.414211518677561
 TABLE2_ERRORS = (2.681e-2, 1.345e-2, 6.448e-3, 2.861e-3, 1.087e-3)
@@ -119,7 +119,7 @@ def test_criterion_3_splitting_mass():
     noise = build_noise_model(100, grid, epsilon=0.01)
     path = sample_wiener_path(noise, 10**4, scheme.dt, seed=321)
     initial = sech_carrier_initial(grid)
-    obs = Observer("mass", 500, lambda n, t, v: mass(v, grid, "squared"))
+    obs = Observer("mass", 500, lambda n, t, v: mass(v, grid) ** 2)
     _, records = evolve(initial, "splitting", grid=grid, model=model, scheme=scheme, path=path, noise=noise, observers=[obs])
     values = [v for _, _, v in records["mass"]]
     assert (max(values) - min(values)) <= 1e-12 * values[0]
@@ -131,8 +131,8 @@ def test_criterion_3_splitting_mass():
     state = sech_carrier_initial(grid4).values
     for n in range(200):
         nxt = splitting_step(state, increment_field(path4, n, noise4, grid4), model, scheme, grid4)
-        drift = abs(mass(nxt, grid4, "squared") - mass(state, grid4, "squared"))
-        assert drift <= 1e-13 * mass(state, grid4, "squared")
+        drift = abs(mass(nxt, grid4) ** 2 - mass(state, grid4) ** 2)
+        assert drift <= 1e-13 * mass(state, grid4) ** 2
         state = nxt
 
 
@@ -163,25 +163,6 @@ def explicit_euler_step(v, dW, model, scheme, grid):
     """Negative control: one explicit Euler step, which is not symplectic."""
     force = apply_frac_laplacian(v, grid, model.alpha) + model.lam * np.abs(v) ** (2.0 * model.sigma) * v
     return v - 1j * (scheme.dt * force + dW * v)
-
-
-def dense_symplectic_defect(stepper, v, dW, model, scheme, grid, fd_eps=1e-6):
-    """Reference check: max |J^T Omega J - Omega| over the dense 2N x 2N Jacobian."""
-    N = grid.N
-
-    def flow(x):
-        out = stepper(x[:N] + 1j * x[N:], dW, model, scheme, grid)
-        return np.concatenate([out.real, out.imag])
-
-    x0 = np.concatenate([v.real, v.imag])
-    J = np.empty((2 * N, 2 * N))
-    for i in range(2 * N):
-        step = np.zeros(2 * N)
-        step[i] = fd_eps
-        J[:, i] = (flow(x0 + step) - flow(x0 - step)) / (2.0 * fd_eps)
-    eye, zero = np.eye(N), np.zeros((N, N))
-    omega = np.block([[zero, eye], [-eye, zero]])
-    return float(np.max(np.abs(J.T @ omega @ J - omega)))
 
 
 @criterion(5, "symplecticity defect of the one-step and path flow maps")
@@ -256,7 +237,7 @@ def test_criterion_5_symplectic_defect():
 def test_criterion_6_cayley_unitarity():
     grid = build_grid(-20.0, 20.0, 400)
     for alpha in (0.6, 0.9):
-        lap = operator_symbols(grid, alpha)
+        lap = _frac_multiplier(grid.N, grid.mu, alpha)
         factor = (2.0 - 1j * 0.01 * lap) / (2.0 + 1j * 0.01 * lap)
         assert np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-14
 

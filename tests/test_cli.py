@@ -469,7 +469,6 @@ PUBLIC_NAMES = [
     "l2_error",
     "mass",
     "midpoint_step",
-    "operator_symbols",
     "parse_config",
     "read_snapshot",
     "record_diagnostics",
@@ -480,7 +479,6 @@ PUBLIC_NAMES = [
     "sample_wiener_path",
     "sech_carrier_initial",
     "splitting_step",
-    "symplectic_defect",
     "transform",
     "write_csv",
     "write_default_config",
@@ -492,7 +490,7 @@ def test_public_surface_is_pinned():
     # adding or dropping a public name takes a deliberate edit of this list
     import sfnse
 
-    assert len(PUBLIC_NAMES) == 37 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 35 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sfnse.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sfnse, name) is not None

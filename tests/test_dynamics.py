@@ -20,7 +20,7 @@ from sfnse.dynamics import (
 from sfnse.errors import DomainError, NonConvergence
 from sfnse.experiments import model_from_config, path_seed, scheme_from_config, sech_carrier_initial
 from sfnse.noise import WienerPath, build_noise_model, increment_field, sample_wiener_path
-from sfnse.spectral import ComplexField, apply_frac_laplacian, build_grid, operator_symbols
+from sfnse.spectral import ComplexField, _frac_multiplier, apply_frac_laplacian, build_grid
 
 
 def small_grid(N=16):
@@ -34,12 +34,12 @@ def random_state(grid, seed, scale=1.0):
 
 
 def mass2(v, grid):
-    return mass(v, grid, "squared")
+    return mass(v, grid) ** 2
 
 
 def reference_flow(state, model, grid, t_end, rtol=1e-12, atol=1e-13):
     """High-accuracy deterministic reference on arrays: stacked-real ODE solve."""
-    lap = operator_symbols(grid, model.alpha)
+    lap = _frac_multiplier(grid.N, grid.mu, model.alpha)
     N = grid.N
 
     def rhs(_, y):
@@ -71,7 +71,7 @@ def iterate_residual_midpoint(v, dW, model, scheme, grid):
     the certifying one last.
     """
     dt = scheme.dt
-    lap = operator_symbols(grid, model.alpha)
+    lap = _frac_multiplier(grid.N, grid.mu, model.alpha)
     denom = 2.0 + 1j * dt * lap
     two_phi_hat = 2.0 * np.fft.fft(v)
     coeff_norm = math.sqrt(grid.h / grid.N)
@@ -143,7 +143,7 @@ class TestMidpoint:
         model = ModelParams(alpha=0.75, lam=0.0, sigma=0.0)
         scheme = SchemeParams(dt=0.05)
         out = midpoint_step(state, np.zeros(grid.N), model, scheme, grid)
-        lap = operator_symbols(grid, 0.75)
+        lap = _frac_multiplier(grid.N, grid.mu, 0.75)
         cayley = (2.0 - 1j * scheme.dt * lap) / (2.0 + 1j * scheme.dt * lap)
         assert np.max(np.abs(np.abs(cayley) - 1.0)) <= 1e-14
         expect = np.fft.ifft(cayley * np.fft.fft(state))
@@ -201,7 +201,6 @@ class TestMidpoint:
         out = midpoint_step(np.zeros(grid.N, complex), np.zeros(grid.N), model, SchemeParams(dt=0.01), grid)
         assert np.all(out == 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:focusing run")
     def test_nonconvergence_reports_iterations(self):
         grid = small_grid()
@@ -292,7 +291,7 @@ class TestSplitting:
         for _ in range(50):
             s = splitting_step(s, np.zeros(grid.N), model, scheme, grid)
         t = 50 * 0.02
-        lap = operator_symbols(grid, 0.6)
+        lap = _frac_multiplier(grid.N, grid.mu, 0.6)
         exact = np.fft.ifft(np.fft.fft(state) * np.exp(-1j * t * lap)) * np.exp(-1j * t)
         assert np.max(np.abs(s - exact)) < 1e-12
 
@@ -331,7 +330,7 @@ class TestSplitting:
         dW = 0.1 * np.random.default_rng(23).standard_normal(grid.N)
         dt = 0.01
         phase = np.exp(-1j * (dt * model.lam * np.abs(state) ** 0.0 + dW))
-        linear = np.exp(-1j * dt * operator_symbols(grid, 0.75))
+        linear = np.exp(-1j * dt * _frac_multiplier(grid.N, grid.mu, 0.75))
         general = np.fft.ifft(np.fft.fft(state * phase) * linear)
         assert np.array_equal(splitting_step(state, dW, model, SchemeParams(dt=dt), grid), general)
 
@@ -372,7 +371,7 @@ class TestEvolve:
     def test_splitting_mass_series_constant(self):
         grid, model, scheme, noise, path = self._setup(steps=1000)
         initial = ComplexField(random_state(grid, 16))
-        obs = Observer("mass", 100, lambda n, t, v: mass(v, grid, "norm"))
+        obs = Observer("mass", 100, lambda n, t, v: mass(v, grid))
         _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
         values = [v for _, _, v in records["mass"]]
         assert len(values) == 11
@@ -406,7 +405,6 @@ class TestEvolve:
         with pytest.raises(DomainError, match="observer name 'a' is given twice"):
             evolve(ComplexField(random_state(grid, 21)), "splitting", model, scheme, grid, path, noise, twins)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:focusing run")
     def test_step_error_carries_index(self):
         grid, model, scheme, noise, path = self._setup(steps=5)
