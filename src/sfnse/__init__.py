@@ -2,13 +2,7 @@
 nonlinear Schrodinger equation with multiplicative Stratonovich noise."""
 
 from .config import RunConfig, parse_config, write_default_config
-from .diagnostics import (
-    DiagnosticsRecord,
-    energy,
-    l2_error,
-    mass,
-    record_diagnostics,
-)
+from .diagnostics import energy, l2_error, mass
 from .dynamics import (
     ModelParams,
     Observer,
@@ -46,7 +40,6 @@ from .spectral import (
 __all__ = [
     "ComplexField",
     "ConvergenceReport",
-    "DiagnosticsRecord",
     "EnsembleReport",
     "GridSpec",
     "ModelParams",
@@ -67,7 +60,6 @@ __all__ = [
     "midpoint_step",
     "parse_config",
     "read_snapshot",
-    "record_diagnostics",
     "run_convergence_study",
     "run_energy_ensemble",
     "run_evolution",

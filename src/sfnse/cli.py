@@ -109,7 +109,7 @@ def _cmd_evolve(args) -> int:
     grid, final, records = experiments.run_evolution(
         config, lambda step, field, grid: write_snapshot(out / f"snapshot_{step:06d}.sfns", field, grid)
     )
-    rows = [(t, rec.mass, rec.energy, rec.max_amplitude) for _, t, rec in records["diag"]]
+    rows = [(t, *row) for _, t, row in records["diag"]]
     write_csv(out / "evolve_diagnostics.csv", ["time", "mass", "energy", "max_amplitude"], rows)
     _say(args, f"evolved to t={final.time:.6g}; mass={mass(final.values, grid):.12g}")
     _say(args, f"wrote {out / 'evolve_diagnostics.csv'}")

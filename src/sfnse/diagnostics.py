@@ -8,21 +8,11 @@ identity.  Every function takes states as length-N complex arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import GridSpec, _fft, _field_values, _frac_multiplier
 from .dynamics import ModelParams
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One row of trajectory diagnostics; the time is in the observer record."""
-
-    mass: float
-    energy: float
-    max_amplitude: float
 
 
 def mass(v, grid: GridSpec) -> float:
@@ -55,14 +45,4 @@ def l2_error(a, b, grid: GridSpec) -> float:
     d = np.abs(va - vb)
     np.multiply(d, d, out=d)
     return math.sqrt(grid.h * float(np.add.reduce(d)))
-
-
-def record_diagnostics(v, grid: GridSpec, model: ModelParams) -> DiagnosticsRecord:
-    """Bundle the standard per-snapshot diagnostics."""
-    v = _field_values(v, grid)
-    return DiagnosticsRecord(
-        mass=mass(v, grid),
-        energy=energy(v, grid, model),
-        max_amplitude=float(np.max(np.abs(v))),
-    )
 

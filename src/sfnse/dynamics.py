@@ -102,6 +102,12 @@ def _step_symbols(N: int, mu: float, alpha: float, dt: float) -> _StepSymbols:
     return symbols
 
 
+# The certified residual's roundoff floor, per unit of sqrt(h/N)/dt * ||f_m||.
+# On 3 sech(x) at N = 2048, dt = 5e-4 the residual stalled up to 11.8 eps
+# above it: 4 eps stalls at step 1435, 8 eps finishes, 16 eps keeps a margin.
+_FLOOR = 16.0 * float(np.finfo(np.float64).eps)
+
+
 def midpoint_step(
     v: np.ndarray,
     dW,
@@ -126,8 +132,9 @@ def midpoint_step(
     the same relation with f_{m-1} (and f_{-1} = -dt L phi^ for the start),
     the midpoint-relation residual of psi_m is sqrt(h/N)/dt * ||f_m - f_{m-1}||
     in the discrete l2 norm, read off two successive forcings.  The first
-    iterate whose residual is <= fp_tol is accepted (tighter than the
-    10*fp_tol contract), and phi' = 2 psi_m - phi.
+    iterate whose residual is <= max(fp_tol, 16 eps sqrt(h/N)/dt ||f_m||) is
+    accepted, and phi' = 2 psi_m - phi.  The second term, the residual's own
+    roundoff floor (see _FLOOR), passes the default fp_tol only on large states.
 
     Raises NonConvergence when fp_max_iter evaluations do not certify the
     tolerance, which usually signals that dt is too large.  ``v`` and ``dW``
@@ -165,6 +172,9 @@ def midpoint_step(
                     iterations=evals,
                     residual=math.inf,
                 )
+            # the floor costs one more reduction, so only a finite residual above fp_tol pays it
+            if residual <= _FLOOR * residual_scale * math.sqrt(np.vdot(forcing, forcing).real):
+                break
             psi = _ifft(base + symbols.gain * forcing)
             forcing_prev = forcing
         else:

@@ -3,9 +3,11 @@
 Four drivers, one per CLI study: the single-trajectory evolve run, the
 per-exponent mass-conservation table, the coupled-path strong-convergence
 study for the splitting scheme, and the energy ensemble under noise.  Every
-config becomes a trajectory here; the CLI only writes and prints.  Monte Carlo
+config becomes a trajectory here (``_path``, then ``ModelParams``,
+``SchemeParams`` and ``evolve``); the CLI only writes and prints.  Monte Carlo
 paths are keyed by (master seed, path index), run one after another in path
-order, and aggregated in that order, so the same config and seed give the
+order, one function call each so that a path's tables go before the next is
+drawn, and aggregated in that order, so the same config and seed give the
 same numbers bit for bit.
 """
 
@@ -18,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import MAX_TABLE_ENTRIES, RunConfig
-from .diagnostics import energy, l2_error, mass, record_diagnostics
+from .diagnostics import energy, l2_error, mass
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
 from .errors import ValidationError
 from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
@@ -76,26 +78,11 @@ def steps_for_horizon(T: float, dt: float, key: str) -> int:
     return steps
 
 
-def model_from_config(config: RunConfig, alpha: float | None = None) -> ModelParams:
-    return ModelParams(
-        alpha=config.alpha if alpha is None else alpha,
-        lam=config.lam,
-        sigma=config.sigma,
-    )
-
-
-def scheme_from_config(config: RunConfig, dt: float | None = None) -> SchemeParams:
-    return SchemeParams(
-        dt=config.dt if dt is None else dt,
-        fp_tol=config.fp_tol,
-        fp_max_iter=config.fp_max_iter,
-    )
-
-
-def _grid_and_noise(config: RunConfig) -> tuple[GridSpec, NoiseModel]:
+def _path(config: RunConfig, steps: int, dt: float, seed: int) -> tuple[GridSpec, NoiseModel, WienerPath]:
+    """The config's grid and noise model, and a path of steps increments of dt drawn with seed."""
     grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
     noise = build_noise_model(config.noise_k, grid, epsilon=config.epsilon, profile=config.noise_profile)
-    return grid, noise
+    return grid, noise, sample_wiener_path(noise, steps, dt, seed)
 
 
 def _run_steps(config: RunConfig, dt: float, *strides: tuple[str, int]) -> int:
@@ -122,8 +109,8 @@ def run_evolution(
 ) -> tuple[GridSpec, ComplexField, dict[str, list[tuple[int, float, Any]]]]:
     """Single trajectory of ``config.integrator`` on the path of the master seed.
 
-    Records come back as from ``evolve``: "diag" holds a DiagnosticsRecord
-    every ``diagnostics_stride`` steps.  Unless ``snapshot_stride`` is 0,
+    Records come back as from ``evolve``: "diag" holds the row (mass, energy,
+    max |u|) every ``diagnostics_stride`` steps.  Unless ``snapshot_stride`` is 0,
     ``snapshot(step, field, grid)`` is called on the state every
     ``snapshot_stride`` steps as the run reaches it (the CLI writes the file
     there), and "snap" holds its return values, so no state is kept unless
@@ -132,13 +119,12 @@ def run_evolution(
     """
     diag, snap = config.diagnostics_stride, config.snapshot_stride
     steps = _run_steps(config, config.dt, ("output.diagnostics_stride", diag), ("output.snapshot_stride", snap))
-    grid, noise = _grid_and_noise(config)
-    model = model_from_config(config)
-    observers = [Observer("diag", diag, lambda n, t, v: record_diagnostics(v, grid, model))]
+    grid, noise, path = _path(config, steps, config.dt, config.noise_seed)
+    model = ModelParams(config.alpha, config.lam, config.sigma)
+    observers = [Observer("diag", diag, lambda n, t, v: (mass(v, grid), energy(v, grid, model), np.abs(v).max()))]
     if snap > 0:
         observers.append(Observer("snap", snap, lambda n, t, v: snapshot(n, ComplexField(v, time=t), grid)))
-    path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
-    scheme = scheme_from_config(config)
+    scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
     final, records = evolve(sech_carrier_initial(grid), config.integrator, model, scheme, grid, path, noise, observers)
     return grid, final, records
 
@@ -152,13 +138,12 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     """
     stride = steps_for_horizon(config.mass_sample_dt, config.dt, "mass.sample_dt")
     steps = _run_steps(config, config.dt, ("mass.sample_dt", stride))
-    grid, noise = _grid_and_noise(config)
-    path = sample_wiener_path(noise, steps, config.dt, config.noise_seed)
-    scheme = scheme_from_config(config)
+    grid, noise, path = _path(config, steps, config.dt, config.noise_seed)
+    scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
         observer = Observer("mass", stride, lambda n, t, v: mass(v, grid))
-        model = model_from_config(config, alpha)
+        model = ModelParams(alpha, config.lam, config.sigma)
         _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
         rows.extend((time, alpha, value) for _, time, value in records["mass"])
     return rows
@@ -169,15 +154,14 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine
 
     Each level steps at fine_dt times its coarsening factor; only the reference trajectory is kept.
     """
-    grid, noise = _grid_and_noise(config)
-    model = model_from_config(config)
+    grid, noise, fine = _path(config, fine_steps, fine_dt, path_seed(config.noise_seed, index))
+    model = ModelParams(config.alpha, config.lam, config.sigma)
     levels = config.converge_levels
     ref = config.converge_ref_level
-    fine = sample_wiener_path(noise, fine_steps, fine_dt, path_seed(config.noise_seed, index))
     initial = sech_carrier_initial(grid)
 
     def run(path: WienerPath, observer: Observer) -> list:
-        scheme = scheme_from_config(config, path.dt)
+        scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
         _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
         return [value for _, _, value in records[observer.name]]
 
@@ -209,6 +193,11 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
     fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
     # the finest table is the largest: refuse it here, before any path runs
     fine_steps = _run_steps(config, fine_dt)
+    # a path keeps one complex state per finest-level step: at most a float table's 256 MiB, at twice the bytes an entry
+    stored = fine_steps // 2 ** (config.converge_ref_level - (levels - 1)) + 1
+    if stored * config.grid_n > MAX_TABLE_ENTRIES // 2:
+        message = f"T={config.horizon_t} needs {stored} reference states of N={config.grid_n} a path, above 256 MiB"
+        raise ValidationError("horizon.T", message)
     n_paths = config.converge_n_paths
     per_path = np.array([_convergence_path_errors(i, config, fine_dt, fine_steps) for i in range(n_paths)])
 
@@ -228,11 +217,10 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
 
 
 def _energy_path_series(index: int, config: RunConfig, steps: int) -> tuple[tuple[float, ...], np.ndarray]:
-    grid, noise = _grid_and_noise(config)
-    model = model_from_config(config)
+    grid, noise, path = _path(config, steps, config.dt, path_seed(config.noise_seed, index))
+    model = ModelParams(config.alpha, config.lam, config.sigma)
     observer = Observer("energy", config.energy_stride, lambda n, t, v: energy(v, grid, model))
-    path = sample_wiener_path(noise, steps, config.dt, path_seed(config.noise_seed, index))
-    scheme = scheme_from_config(config)
+    scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
     _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
     times = tuple(time for _, time, _ in records["energy"])
     values = np.array([value for _, _, value in records["energy"]])

@@ -10,6 +10,9 @@ import numpy as np
 
 from sfnse import cli, errors, experiments
 from sfnse.cli import main
+from sfnse.config import parse_config
+from sfnse.diagnostics import energy, mass
+from sfnse.dynamics import ModelParams
 from sfnse.output import read_snapshot
 
 FAST_EVOLVE = """
@@ -88,8 +91,14 @@ class TestSubcommands:
         assert len(diag.splitlines()) == 1 + 3  # t = 0, 0.05, 0.1
         snaps = sorted(out.glob("snapshot_*.sfns"))
         assert [s.name for s in snaps] == ["snapshot_000000.sfns", "snapshot_000005.sfns", "snapshot_000010.sfns"]
-        _, field = read_snapshot(snaps[-1])
+        grid, field = read_snapshot(snaps[-1])
         assert np.all(np.isfinite(field.values))
+        # the last row is (t, mass, energy, max |u|) of the last snapshot's state, to the bit
+        config = parse_config(FAST_EVOLVE)
+        model = ModelParams(config.alpha, config.lam, config.sigma)
+        v = field.values
+        expected = (field.time, mass(v, grid), energy(v, grid, model), np.max(np.abs(v)))
+        assert tuple(float(x) for x in diag.splitlines()[-1].split(",")) == expected
         assert capsys.readouterr().out == ""
 
     def test_mass_table(self, tmp_path):
@@ -254,6 +263,19 @@ class TestExitCodes:
             wide = wide.replace("noise.K = 10", f"noise.K = {experiments.MAX_TABLE_ENTRIES}")
             assert run_cli([command, "--quiet"], tmp_path, wide) == 1
             assert "noise.K" in capsys.readouterr().err
+
+    def test_converge_reference_store_guard(self, tmp_path, capsys, monkeypatch):
+        # one N = 4096 reference state per finest-level step (dt = 0.0025 here): 4097 at T = 10.24
+        # pass 2^24 complex entries and are refused before any table; 4093 at T = 10.23 are admitted
+        def no_table(*args, **kwargs):
+            raise AssertionError("increment table allocated")
+
+        monkeypatch.setattr(experiments, "sample_wiener_path", no_table)
+        wide = FAST_CONVERGE.replace("grid.N = 64", "grid.N = 4096")
+        assert run_cli(["converge", "--quiet"], tmp_path, wide.replace("horizon.T = 0.1", "horizon.T = 10.24")) == 1
+        assert capsys.readouterr().err.startswith("error: horizon.T: ")
+        monkeypatch.setattr(experiments, "_convergence_path_errors", lambda *args: np.ones(3))
+        assert run_cli(["converge", "--quiet"], tmp_path, wide.replace("horizon.T = 0.1", "horizon.T = 10.23")) == 0
 
     def test_refused_config_builds_nothing(self, tmp_path, capsys, monkeypatch):
         def no_build(*args, **kwargs):
@@ -450,7 +472,6 @@ def test_package_imports_only_numpy_and_stdlib(tmp_path):
 PUBLIC_NAMES = [
     "ComplexField",
     "ConvergenceReport",
-    "DiagnosticsRecord",
     "EnsembleReport",
     "GridSpec",
     "ModelParams",
@@ -471,7 +492,6 @@ PUBLIC_NAMES = [
     "midpoint_step",
     "parse_config",
     "read_snapshot",
-    "record_diagnostics",
     "run_convergence_study",
     "run_energy_ensemble",
     "run_evolution",
@@ -490,7 +510,7 @@ def test_public_surface_is_pinned():
     # adding or dropping a public name takes a deliberate edit of this list
     import sfnse
 
-    assert len(PUBLIC_NAMES) == 35 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 33 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sfnse.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sfnse, name) is not None

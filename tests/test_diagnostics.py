@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfnse.diagnostics import energy, l2_error, mass, record_diagnostics
+from sfnse.diagnostics import energy, l2_error, mass
 from sfnse.dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
 from sfnse.errors import DomainError
 from sfnse.spectral import _frac_multiplier, build_grid
@@ -105,16 +105,6 @@ class TestL2Error:
             l2_error(random_state(g, 4), np.zeros(8, complex), g)
         with pytest.raises(DomainError, match="does not match grid N=16"):
             mass(np.zeros(8, complex), g)
-
-
-class TestRecord:
-    def test_bundles_fields(self):
-        g = paper_grid()
-        model = ModelParams(0.6, 1.0, 1.0)
-        rec = record_diagnostics(soliton(g), g, model)
-        assert rec.mass == pytest.approx(np.sqrt(2.0), rel=1e-14)
-        assert rec.max_amplitude == pytest.approx(1.0, rel=1e-12)
-        assert np.isfinite(rec.energy)
 
 
 class TestSymplecticDefect:

@@ -18,7 +18,7 @@ from sfnse.dynamics import (
     splitting_step,
 )
 from sfnse.errors import DomainError, NonConvergence
-from sfnse.experiments import model_from_config, path_seed, scheme_from_config, sech_carrier_initial
+from sfnse.experiments import path_seed, sech_carrier_initial
 from sfnse.noise import WienerPath, build_noise_model, increment_field, sample_wiener_path
 from sfnse.spectral import ComplexField, _frac_multiplier, apply_frac_laplacian, build_grid
 
@@ -212,6 +212,20 @@ class TestMidpoint:
         assert 1 <= info.value.iterations <= 10
         assert info.value.residual > 0.0
 
+    def test_large_focusing_state_certifies_at_the_roundoff_floor(self):
+        # 3 sech(x) with sigma < 2 alpha, where ModelParams promises global existence: the state
+        # grows until the residual's roundoff floor passes fp_tol, and a certificate of fp_tol
+        # alone stalls at step 1720 (residual 1.04e-12 after 50 evaluations)
+        grid = build_grid(-20.0, 20.0, 2048)
+        noise = build_noise_model(100, grid, epsilon=0.01)
+        path = sample_wiener_path(noise, 1800, 5e-4, 0)
+        initial = ComplexField(3.0 / np.cosh(grid.nodes()) + 0j)
+        model, scheme = ModelParams(0.6, -1.0, 1.0), SchemeParams(5e-4)
+        observer = Observer("mass", 100, lambda n, t, v: mass(v, grid))
+        _, records = evolve(initial, "midpoint", model, scheme, grid, path, noise, [observer])
+        masses = [value for _, _, value in records["mass"]]
+        assert len(masses) == 19 and max(masses) - min(masses) < 1e-10
+
     @pytest.mark.parametrize(
         "lam, sigma, epsilon",
         # the last case has no forcing at all (f_m = 0), so only the start
@@ -242,8 +256,8 @@ class TestMidpoint:
         config = parse_config((Path(__file__).resolve().parents[1] / "configs" / "energy_ensemble.cfg").read_text())
         grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
         noise = build_noise_model(config.noise_k, grid, epsilon=config.epsilon, profile=config.noise_profile)
-        model = model_from_config(config)
-        scheme = scheme_from_config(config)
+        model = ModelParams(config.alpha, config.lam, config.sigma)
+        scheme = SchemeParams(config.dt, config.fp_tol, config.fp_max_iter)
         path = sample_wiener_path(noise, 5, scheme.dt, path_seed(config.noise_seed, 0))
         state = sech_carrier_initial(grid).values
         for n in range(path.steps):

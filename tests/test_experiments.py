@@ -9,21 +9,18 @@ from sfnse import experiments
 from sfnse.cli import main
 from sfnse.config import parse_config
 from sfnse.diagnostics import l2_error
-from sfnse.dynamics import Observer, evolve
+from sfnse.dynamics import ModelParams, Observer, SchemeParams, evolve
 from sfnse.errors import ValidationError
 from sfnse.experiments import (
-    _grid_and_noise,
     _run_steps,
-    model_from_config,
     path_seed,
     run_convergence_study,
     run_energy_ensemble,
     run_evolution,
     run_mass_table,
-    scheme_from_config,
     sech_carrier_initial,
 )
-from sfnse.noise import coarsen_path, sample_wiener_path
+from sfnse.noise import build_noise_model, coarsen_path, sample_wiener_path
 from sfnse.output import read_snapshot
 from sfnse.spectral import build_grid
 
@@ -59,13 +56,14 @@ def stored_trajectory_errors(config):
     fine_dt = math.ldexp(config.converge_base_dt, -ref)
     per_path = []
     for index in range(config.converge_n_paths):
-        grid, noise = _grid_and_noise(config)
-        model = model_from_config(config)
+        grid = build_grid(config.grid_a, config.grid_b, config.grid_n)
+        noise = build_noise_model(config.noise_k, grid, epsilon=config.epsilon, profile=config.noise_profile)
+        model = ModelParams(config.alpha, config.lam, config.sigma)
         fine = sample_wiener_path(noise, _run_steps(config, fine_dt), fine_dt, path_seed(config.noise_seed, index))
         initial = sech_carrier_initial(grid)
 
         def trajectory(path, stride):
-            scheme = scheme_from_config(config, path.dt)
+            scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
             observer = Observer("s", stride, lambda n, t, v: v.copy())
             _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
             return [state for _, _, state in records["s"]]
