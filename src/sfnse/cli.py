@@ -106,10 +106,9 @@ def _cmd_evolve(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     # each snapshot is written as the run reaches it, so a failed run leaves the ones before it
-    grid, final, records = experiments.run_evolution(
+    grid, final, rows = experiments.run_evolution(
         config, lambda step, field, grid: write_snapshot(out / f"snapshot_{step:06d}.sfns", field, grid)
     )
-    rows = [(t, *row) for _, t, row in records["diag"]]
     write_csv(out / "evolve_diagnostics.csv", ["time", "mass", "energy", "max_amplitude"], rows)
     _say(args, f"evolved to t={final.time:.6g}; mass={mass(final.values, grid):.12g}")
     _say(args, f"wrote {out / 'evolve_diagnostics.csv'}")

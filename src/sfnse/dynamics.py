@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .noise import NoiseModel, WienerPath, increment_field
+from .noise import NoiseModel, WienerPath, _field_block, increment_field
 from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _field_values, _frac_multiplier, _ifft
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative, _is_real
 
@@ -218,14 +218,13 @@ def splitting_step(
 
 @dataclass(frozen=True)
 class Observer:
-    """Named probe of the (read-only) state array at step 0 and after every stride-th step.
+    """Probe of the (read-only) state array at step 0 and after every stride-th step.
 
     ``fn(n, t, v)`` gets the step n, the model time t and the state array v,
     so a probe can act on the state as it fires (say, write it out) and keep
-    nothing; its return value is recorded.
+    nothing.  The record is what ``fn`` returns.
     """
 
-    name: str
     stride: int
     fn: Callable[[int, float, np.ndarray], Any]
 
@@ -253,16 +252,15 @@ def evolve(
     path: WienerPath,
     noise: NoiseModel,
     observers: Sequence[Observer] = (),
-) -> tuple[ComplexField, dict[str, list[tuple[int, float, Any]]]]:
+) -> tuple[ComplexField, list[list[Any]]]:
     """Drive one trajectory over all steps of the given noise path.
 
     ``integrator`` names the step, "midpoint" or "splitting"; each step
     calls it once, after building that step's increment field from ``noise``
-    and the path row.  Observers, which need distinct names, fire on the
-    initial state and after every stride-th step, each called as
-    ``fn(step, time, state)``; records come back per observer name as
-    (step, time, value) tuples in step order.  Step
-    failures are re-raised with the failing step index attached.
+    and the path row.  Observers fire on the initial state and after every
+    stride-th step, each called as ``fn(step, time, state)``; ``records[i]``
+    lists what ``observers[i].fn`` returned, in step order.  Step failures
+    are re-raised with the failing step index attached.
 
     The steps and the observers see plain length-N arrays.  The one
     ``ComplexField`` built is the returned final state, which checks it once.
@@ -272,20 +270,21 @@ def evolve(
         raise DomainError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
 
     v, t = initial.values, initial.time
-    records: dict[str, list[tuple[int, float, Any]]] = {}
-    for obs in observers:
-        if obs.name in records:  # two observers would interleave their rows under one name
-            raise DomainError(f"observer name {obs.name!r} is given twice")
-        records[obs.name] = [(0, t, obs.fn(0, t, v))]
-    for n in range(path.steps):
-        dW = increment_field(path, n, noise, grid)
-        try:
-            v = step_fn(v, dW, model, scheme, grid)
-        except NonConvergence as exc:
-            exc.step = n
-            raise
-        t = t + scheme.dt
-        for obs in observers:
-            if (n + 1) % obs.stride == 0:
-                records[obs.name].append((n + 1, t, obs.fn(n + 1, t, v)))
+    records = [[obs.fn(0, t, v)] for obs in observers]
+    try:
+        for n in range(path.steps):
+            dW = increment_field(path, n, noise, grid)
+            try:
+                v = step_fn(v, dW, model, scheme, grid)
+            except NonConvergence as exc:
+                exc.step = n
+                raise
+            t = t + scheme.dt
+            for obs, record in zip(observers, records):
+                if (n + 1) % obs.stride == 0:
+                    record.append(obs.fn(n + 1, t, v))
+    except BaseException:
+        # a run cut short leaves its block cached, and the block's key holds the path
+        _field_block.cache_clear()
+        raise
     return ComplexField(v, time=t), records

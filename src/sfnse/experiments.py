@@ -4,18 +4,19 @@ Four drivers, one per CLI study: the single-trajectory evolve run, the
 per-exponent mass-conservation table, the coupled-path strong-convergence
 study for the splitting scheme, and the energy ensemble under noise.  Every
 config becomes a trajectory here (``_path``, then ``ModelParams``,
-``SchemeParams`` and ``evolve``); the CLI only writes and prints.  Monte Carlo
-paths are keyed by (master seed, path index), run one after another in path
-order, one function call each so that a path's tables go before the next is
-drawn, and aggregated in that order, so the same config and seed give the
-same numbers bit for bit.
+``SchemeParams`` and ``evolve``), whose observer returns the row the study's
+table needs, so its record is that table; the CLI only writes and prints.
+Monte Carlo paths are keyed by (master seed, path index), run one after
+another in path order, one function call each so that a path's tables go
+before the next is drawn, and aggregated in that order, so the same config
+and seed give the same numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -105,28 +106,26 @@ def _run_steps(config: RunConfig, dt: float, *strides: tuple[str, int]) -> int:
 
 
 def run_evolution(
-    config: RunConfig, snapshot: Callable[[int, ComplexField, GridSpec], Any]
-) -> tuple[GridSpec, ComplexField, dict[str, list[tuple[int, float, Any]]]]:
+    config: RunConfig, snapshot: Callable[[int, ComplexField, GridSpec], None]
+) -> tuple[GridSpec, ComplexField, list[tuple[float, float, float, float]]]:
     """Single trajectory of ``config.integrator`` on the path of the master seed.
 
-    Records come back as from ``evolve``: "diag" holds the row (mass, energy,
-    max |u|) every ``diagnostics_stride`` steps.  Unless ``snapshot_stride`` is 0,
+    Returns the grid, the final state and one row (t, mass, energy, max |u|)
+    every ``diagnostics_stride`` steps.  Unless ``snapshot_stride`` is 0,
     ``snapshot(step, field, grid)`` is called on the state every
     ``snapshot_stride`` steps as the run reaches it (the CLI writes the file
-    there), and "snap" holds its return values, so no state is kept unless
-    ``snapshot`` returns it.  Returns the grid, the final state and the
-    records.
+    there); what it returns is dropped, so no state is kept.
     """
     diag, snap = config.diagnostics_stride, config.snapshot_stride
     steps = _run_steps(config, config.dt, ("output.diagnostics_stride", diag), ("output.snapshot_stride", snap))
     grid, noise, path = _path(config, steps, config.dt, config.noise_seed)
     model = ModelParams(config.alpha, config.lam, config.sigma)
-    observers = [Observer("diag", diag, lambda n, t, v: (mass(v, grid), energy(v, grid, model), np.abs(v).max()))]
+    observers = [Observer(diag, lambda n, t, v: (t, mass(v, grid), energy(v, grid, model), np.abs(v).max()))]
     if snap > 0:
-        observers.append(Observer("snap", snap, lambda n, t, v: snapshot(n, ComplexField(v, time=t), grid)))
+        observers.append(Observer(snap, lambda n, t, v: snapshot(n, ComplexField(v, time=t), grid)))
     scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
     final, records = evolve(sech_carrier_initial(grid), config.integrator, model, scheme, grid, path, noise, observers)
-    return grid, final, records
+    return grid, final, records[0]
 
 
 def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
@@ -142,10 +141,10 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
     scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
     rows: list[tuple[float, float, float]] = []
     for alpha in config.mass_alphas:
-        observer = Observer("mass", stride, lambda n, t, v: mass(v, grid))
+        observer = Observer(stride, lambda n, t, v: (t, alpha, mass(v, grid)))
         model = ModelParams(alpha, config.lam, config.sigma)
-        _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
-        rows.extend((time, alpha, value) for _, time, value in records["mass"])
+        _, (series,) = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
+        rows.extend(series)
     return rows
 
 
@@ -162,17 +161,17 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine
 
     def run(path: WienerPath, observer: Observer) -> list:
         scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
-        _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
-        return [value for _, _, value in records[observer.name]]
+        _, (series,) = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
+        return series
 
     # reference states stored on the finest test level's time grid, which
     # contains every coarser level's grid
-    ref_states = run(fine, Observer("ref", 2 ** (ref - (levels - 1)), lambda n, t, v: v))
+    ref_states = run(fine, Observer(2 ** (ref - (levels - 1)), lambda n, t, v: v))
 
     errors = np.empty(levels)
     for r in range(levels):
         refs = iter(ref_states[:: 2 ** ((levels - 1) - r)])  # level-r times on the stored reference grid
-        error = Observer("error", 1, lambda n, t, v, refs=refs: l2_error(v, next(refs), grid))
+        error = Observer(1, lambda n, t, v, refs=refs: l2_error(v, next(refs), grid))
         errors[r] = max(run(coarsen_path(fine, 2 ** (ref - r)), error))
     return errors
 
@@ -219,12 +218,11 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
 def _energy_path_series(index: int, config: RunConfig, steps: int) -> tuple[tuple[float, ...], np.ndarray]:
     grid, noise, path = _path(config, steps, config.dt, path_seed(config.noise_seed, index))
     model = ModelParams(config.alpha, config.lam, config.sigma)
-    observer = Observer("energy", config.energy_stride, lambda n, t, v: energy(v, grid, model))
+    observer = Observer(config.energy_stride, lambda n, t, v: (t, energy(v, grid, model)))
     scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
-    _, records = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
-    times = tuple(time for _, time, _ in records["energy"])
-    values = np.array([value for _, _, value in records["energy"]])
-    return times, values
+    _, (series,) = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
+    times, values = zip(*series)
+    return times, np.array(values)
 
 
 def run_energy_ensemble(config: RunConfig) -> EnsembleReport:

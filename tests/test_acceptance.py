@@ -119,9 +119,8 @@ def test_criterion_3_splitting_mass():
     noise = build_noise_model(100, grid, epsilon=0.01)
     path = sample_wiener_path(noise, 10**4, scheme.dt, seed=321)
     initial = sech_carrier_initial(grid)
-    obs = Observer("mass", 500, lambda n, t, v: mass(v, grid) ** 2)
-    _, records = evolve(initial, "splitting", grid=grid, model=model, scheme=scheme, path=path, noise=noise, observers=[obs])
-    values = [v for _, _, v in records["mass"]]
+    obs = Observer(500, lambda n, t, v: mass(v, grid) ** 2)
+    _, (values,) = evolve(initial, "splitting", grid=grid, model=model, scheme=scheme, path=path, noise=noise, observers=[obs])
     assert (max(values) - min(values)) <= 1e-12 * values[0]
 
     # per-step exactness on the reference N = 400 grid
@@ -358,8 +357,7 @@ def test_criterion_10_field_smoke():
         path = sample_wiener_path(noise, 1000, scheme.dt, seed=1618)
         initial = sech_carrier_initial(grid)
         peak0 = float(np.max(np.abs(initial.values)))
-        obs = Observer("amp", 1, lambda n, t, v: float(np.max(np.abs(v))))
-        final, records = evolve(initial, "midpoint", model, scheme, grid, path, noise, [obs])
-        amps = [v for _, _, v in records["amp"]]
+        obs = Observer(1, lambda n, t, v: float(np.max(np.abs(v))))
+        final, (amps,) = evolve(initial, "midpoint", model, scheme, grid, path, noise, [obs])
         assert np.all(np.isfinite(final.values))
         assert max(amps) <= 2.0 * peak0

@@ -221,9 +221,8 @@ class TestMidpoint:
         path = sample_wiener_path(noise, 1800, 5e-4, 0)
         initial = ComplexField(3.0 / np.cosh(grid.nodes()) + 0j)
         model, scheme = ModelParams(0.6, -1.0, 1.0), SchemeParams(5e-4)
-        observer = Observer("mass", 100, lambda n, t, v: mass(v, grid))
-        _, records = evolve(initial, "midpoint", model, scheme, grid, path, noise, [observer])
-        masses = [value for _, _, value in records["mass"]]
+        observer = Observer(100, lambda n, t, v: mass(v, grid))
+        _, (masses,) = evolve(initial, "midpoint", model, scheme, grid, path, noise, [observer])
         assert len(masses) == 19 and max(masses) - min(masses) < 1e-10
 
     @pytest.mark.parametrize(
@@ -380,44 +379,52 @@ class TestEvolve:
         initial = ComplexField(random_state(grid, 15))
         final, records = evolve(initial, "splitting", model, scheme, grid, empty, noise)
         assert np.array_equal(final.values, initial.values) and final.time == initial.time
-        assert records == {}
+        assert records == []
 
     def test_splitting_mass_series_constant(self):
         grid, model, scheme, noise, path = self._setup(steps=1000)
         initial = ComplexField(random_state(grid, 16))
-        obs = Observer("mass", 100, lambda n, t, v: mass(v, grid))
-        _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
-        values = [v for _, _, v in records["mass"]]
+        obs = Observer(100, lambda n, t, v: mass(v, grid))
+        _, (values,) = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
         assert len(values) == 11
         assert max(values) - min(values) <= 1e-12 * values[0]
 
     def test_observer_stride_and_times(self):
         grid, model, scheme, noise, path = self._setup(steps=10)
-        obs = Observer("m", 3, lambda n, t, v: mass(v, grid))
-        fired = Observer("fired", 3, lambda n, t, v: (n, t))  # fn gets the step and time it fires at
-        _, records = evolve(
+        obs = Observer(3, lambda n, t, v: mass(v, grid))
+        fired = Observer(3, lambda n, t, v: (n, t))  # fn gets the step and time it fires at
+        _, (masses, fired_at) = evolve(
             ComplexField(random_state(grid, 17)), "midpoint", model, scheme, grid, path, noise, [obs, fired]
         )
-        steps = [n for n, _, _ in records["m"]]
+        steps = [n for n, _ in fired_at]
         assert steps == [0, 3, 6, 9]
-        assert [value for _, _, value in records["fired"]] == [(n, t) for n, t, _ in records["m"]]
-        times = [t for _, t, _ in records["m"]]
+        assert len(masses) == len(fired_at)
+        times = [t for _, t in fired_at]
         assert times[0] == 0.0
         assert times[1] == pytest.approx(0.03, rel=1e-12)
 
     def test_observer_stride_validated(self):
         for stride in (0, -3):
             with pytest.raises(DomainError, match="stride must be >= 1"):
-                Observer("o", stride, lambda n, t, v: None)
+                Observer(stride, lambda n, t, v: None)
         # truncating is no answer either: 1.5 would otherwise fire at steps 0, 3, 6
         for stride in (1.5, 3.0, True):
             with pytest.raises(DomainError, match="observer stride must be an integer"):
-                Observer("o", stride, lambda n, t, v: None)
-        # two observers under one name would interleave their rows in one record
+                Observer(stride, lambda n, t, v: None)
+
+    def test_observers_sharing_stride_and_fn_keep_their_own_lists(self):
+        # records follow the observers by position, so twins are two lists, in observer order
         grid, model, scheme, noise, path = self._setup(steps=4)
-        twins = [Observer(name, stride, lambda n, t, v: None) for name, stride in (("a", 1), ("b", 1), ("a", 2))]
-        with pytest.raises(DomainError, match="observer name 'a' is given twice"):
-            evolve(ComplexField(random_state(grid, 21)), "splitting", model, scheme, grid, path, noise, twins)
+
+        def step(n, t, v):
+            return n
+
+        twins = [Observer(1, step), Observer(1, step), Observer(2, step)]
+        _, records = evolve(ComplexField(random_state(grid, 21)), "splitting", model, scheme, grid, path, noise, twins)
+        assert records == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0, 2, 4]]
+        assert records[0] is not records[1]
+        _, records = evolve(ComplexField(random_state(grid, 21)), "splitting", model, scheme, grid, path, noise)
+        assert records == []
 
     @pytest.mark.filterwarnings("ignore:focusing run")
     def test_step_error_carries_index(self):
@@ -460,12 +467,12 @@ class TestEvolve:
         monkeypatch.setattr(ComplexField, "__init__", counted_init)
         for stride in (1, 3):
             built.clear()
-            seen = []
-            obs = Observer("seen", stride, lambda n, t, v: seen.append(v))
-            final, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
+            obs = Observer(stride, lambda n, t, v: (n, v))
+            final, (fired,) = evolve(initial, "splitting", model, scheme, grid, path, noise, [obs])
             assert len(built) == 1 and built[0] is final
             assert np.array_equal(final.values, v) and final.time == t
-            assert [n for n, _, _ in records["seen"]] == list(range(0, path.steps + 1, stride))
+            assert [n for n, _ in fired] == list(range(0, path.steps + 1, stride))
+            seen = [s for _, s in fired]
             assert all(type(s) is np.ndarray for s in seen)
             for s, n in zip(seen, range(0, path.steps + 1, stride), strict=True):
                 assert s.tobytes() == expected[n].tobytes()

@@ -64,9 +64,9 @@ def stored_trajectory_errors(config):
 
         def trajectory(path, stride):
             scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
-            observer = Observer("s", stride, lambda n, t, v: v.copy())
-            _, records = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
-            return [state for _, _, state in records["s"]]
+            observer = Observer(stride, lambda n, t, v: v.copy())
+            _, (states,) = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
+            return states
 
         ref_states = trajectory(fine, 2 ** (ref - (levels - 1)))
         errors = []
@@ -230,16 +230,23 @@ class TestFieldEvolution:
 
     def test_snapshot_callable_fires_as_the_run_steps(self):
         config = parse_config(EVOLVE_CONFIG.format(stride=5))
-        # a callable that returns what it is given keeps the states; the CLI's writer keeps none
-        grid, final, records = run_evolution(config, lambda step, field, g: (step, field, g))
-        assert [n for n, _, _ in records["snap"]] == [0, 5, 10]
-        for n, t, (step, field, g) in records["snap"]:
-            assert (step, field.time, g) == (n, t, grid)
-        assert np.array_equal(records["snap"][-1][2][1].values, final.values)
+        # a callable that keeps what it is given keeps the states; the CLI's writer keeps none
+        calls = []
+        grid, final, rows = run_evolution(config, lambda step, field, g: calls.append((step, field, g)))
+        assert [step for step, _, _ in calls] == [0, 5, 10]
+        times = [0.0]  # the time evolve reaches by adding dt once per step
+        for _ in range(10):
+            times.append(times[-1] + config.dt)
+        for step, field, g in calls:
+            assert (field.time, g) == (times[step], grid)
+        # diagnostics rows every 10 steps, stamped with the same times
+        assert [row[0] for row in rows] == [times[0], times[10]]
+        assert np.array_equal(calls[-1][1].values, final.values)
 
     def test_zero_stride_empty_series(self, tmp_path):
-        _, _, records = run_evolution(parse_config(EVOLVE_CONFIG.format(stride=0)), lambda *args: args)
-        assert "snap" not in records
+        calls = []
+        run_evolution(parse_config(EVOLVE_CONFIG.format(stride=0)), lambda *args: calls.append(args))
+        assert calls == []
         assert self._cli_snapshots(tmp_path, 0, tmp_path / "out") == []
         assert (tmp_path / "out" / "evolve_diagnostics.csv").exists()
 

@@ -1,10 +1,12 @@
+import gc
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from sfnse.errors import DomainError
+from sfnse.dynamics import ModelParams, Observer, SchemeParams, evolve
+from sfnse.errors import DomainError, NonConvergence
 from sfnse.noise import (
     _BLOCK,
     _FIELD_ROWS,
@@ -17,7 +19,7 @@ from sfnse.noise import (
     increment_field,
     sample_wiener_path,
 )
-from sfnse.spectral import build_grid
+from sfnse.spectral import ComplexField, build_grid
 
 
 def philox_words(seed, count):
@@ -282,6 +284,11 @@ def block_row(path, model, n):
     return (model.epsilon * (inc[s:e] @ model.mode_profiles))[n - s]
 
 
+def fail_at_step_3(n, t, v):
+    if n == 3:
+        raise ZeroDivisionError(n)
+
+
 class TestFieldBlocks:
     """A field is one row of a block product, the same bytes whatever was asked before it."""
 
@@ -333,6 +340,28 @@ class TestFieldBlocks:
             increment_field(path, n, model, grid)
         alive = weakref.ref(path)
         del path
+        assert alive() is None
+
+    @pytest.mark.parametrize(
+        "scheme, observers, error",
+        [
+            (SchemeParams(0.01, fp_max_iter=1), [], NonConvergence),
+            (SchemeParams(0.01), [Observer(1, fail_at_step_3)], ZeroDivisionError),
+        ],
+        ids=["nonconvergence", "observer"],
+    )
+    def test_no_path_outlives_a_failed_run(self, grid, scheme, observers, error):
+        # a run that stops early never asks for its block's last row, so the
+        # cached block, keyed on the path, must go with the exception
+        model = build_noise_model(10, grid, epsilon=0.01)
+        path = sample_wiener_path(model, 20, 0.01, seed=23)
+        initial = ComplexField(np.exp(1j * grid.nodes()))
+        with pytest.raises(error) as info:
+            evolve(initial, "midpoint", ModelParams(0.75, 1.0, 1.0), scheme, grid, path, model, observers)
+        del info  # its traceback frames hold the path
+        alive = weakref.ref(path)
+        del path
+        gc.collect()
         assert alive() is None
 
 
