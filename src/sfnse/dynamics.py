@@ -5,9 +5,10 @@ fixed-point iteration with the stiff linear part inverted exactly per Fourier
 mode, and an explicit splitting scheme alternating the exact phase/noise flow
 with the exact linear spectral flow.  The midpoint rule consumes Stratonovich
 increments directly (no Ito correction).  Both steps map a length-N array to
-a length-N array, and ``evolve`` hands its observers the same arrays, with
-the step and the time they fire at; the only ``ComplexField`` it builds is the
-returned final state.
+a new length-N array: each call works in arrays it allocates itself and
+returns one of them, so no later call writes a result that a caller kept.
+``evolve`` hands its observers the same arrays, with the step and the time
+they fire at; the only ``ComplexField`` it builds is the returned final state.
 """
 
 from __future__ import annotations
@@ -203,17 +204,34 @@ def splitting_step(
         u' = exp(-i dt (-Delta)^alpha) [exp(-i dt lam |u|^(2 sigma) - i dW(x)) u].
 
     The phase flow is exact because |u| is invariant along it.  Both factors
-    are unimodular, so the discrete mass is preserved to roundoff.  ``v`` and
-    ``dW`` are never written.
+    are unimodular, so the discrete mass is preserved to roundoff.  The phase
+    factor is built as cos + i sin of its angle.  ``v`` and ``dW`` are never
+    written, and the result is a new array.
     """
     v, dW = _check_step_args(v, dW, grid)
     dt = scheme.dt
+    # the angle -(dt lam |v|^(2 sigma) + dW), the imaginary part of
+    # -1j * (dt * lam * abs(v) ** (2 sigma) + dW) to the sign of a zero
     if model.sigma == 0.0:
         # |u|^0 = 1: skip the abs/pow per step (same bytes)
-        phase = np.exp(-1j * (dt * model.lam + dW))
+        angle = np.add(dt * model.lam, dW)
     else:
-        phase = np.exp(-1j * (dt * model.lam * np.abs(v) ** (2.0 * model.sigma) + dW))
-    return _ifft(_fft(v * phase) * _step_symbols(grid.N, grid.mu, model.alpha, dt).flow)
+        angle = np.abs(v)
+        angle **= 2.0 * model.sigma
+        angle *= dt * model.lam
+        angle += dW
+    np.negative(angle, out=angle)
+    # exp(i angle) as cos + i sin, without the complex exp's temporaries; it
+    # has the complex exp's bytes where the build's float64 cos/sin round as
+    # its complex exp does (README, Reproducibility notes).  w is the one
+    # work array, and the result
+    w = np.empty_like(v)
+    np.cos(angle, out=w.real)
+    np.sin(angle, out=w.imag)
+    np.multiply(v, w, out=w)
+    _fft(w, out=w)
+    w *= _step_symbols(grid.N, grid.mu, model.alpha, dt).flow
+    return _ifft(w, out=w)
 
 
 @dataclass(frozen=True)

@@ -22,25 +22,33 @@ except ImportError:  # numpy < 2.0
     _pocketfft = None
 
 
-def _fft(v) -> np.ndarray:
+def _fft(v, out=None) -> np.ndarray:
     """Unnormalised forward DFT along the last axis, in complex128.
 
     Every transform in the package goes through this pair.  It runs the same
     kernel with the same scaling as ``np.fft.fft``, so it gives the same
-    bytes, but skips ``np.fft``'s per-call Python bookkeeping.
+    bytes, but skips ``np.fft``'s per-call Python bookkeeping.  ``out``, a
+    complex128 array of v's shape, receives the result and may be ``v``
+    itself; without it the result is a new array.
     """
     v = np.asarray(v, dtype=np.complex128)
+    if out is None:
+        out = np.empty_like(v)
     if _pocketfft is None:
-        return np.fft.fft(v)
-    return _pocketfft.fft(v, 1.0, out=np.empty_like(v))
+        out[...] = np.fft.fft(v)
+        return out
+    return _pocketfft.fft(v, 1.0, out=out)
 
 
-def _ifft(v) -> np.ndarray:
-    """Inverse of ``_fft`` (scaled by 1/n), along the last axis, in complex128."""
+def _ifft(v, out=None) -> np.ndarray:
+    """Inverse of ``_fft`` (scaled by 1/n), along the last axis, in complex128, with the same ``out``."""
     v = np.asarray(v, dtype=np.complex128)
+    if out is None:
+        out = np.empty_like(v)
     if _pocketfft is None:
-        return np.fft.ifft(v)
-    return _pocketfft.ifft(v, 1.0 / v.shape[-1], out=np.empty_like(v))
+        out[...] = np.fft.ifft(v)
+        return out
+    return _pocketfft.ifft(v, 1.0 / v.shape[-1], out=out)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,20 @@ pairs (xi, eta), J xi is a central difference of size 1e-6 (32 step calls at
 any N), so it runs at N = 400 and on the flow of a whole path.
 ``dense_symplectic_defect`` builds the whole 2N x 2N Jacobian (4N step
 calls) and is its reference at small N.
+
+``reference_splitting_step`` is the splitting step as plain expressions:
+every intermediate a new array, with ``np.fft`` and the complex ``np.exp``.
+The package's kernel works in place on one per-call array and builds its
+phase as cos + i sin, and must give the same bytes wherever the build's
+float64 cos/sin round as its complex exp does.  ``h_alpha_norm`` is the
+squared H^alpha norm that the existence check follows in time.
 """
 
 import math
 
 import numpy as np
+
+from sfnse.dynamics import _step_symbols
 
 _TANGENT_PAIRS = 8  # unit tangent pairs (xi, eta) the matrix-free check probes
 _TANGENT_SEED = 5  # seed of their complex Gaussian draws
@@ -105,3 +114,19 @@ def dense_symplectic_defect(stepper, v, dW, model, scheme, grid, fd_eps=_FD_EPS)
     eye, zero = np.eye(N), np.zeros((N, N))
     omega = np.block([[zero, eye], [-eye, zero]])
     return float(np.max(np.abs(J.T @ omega @ J - omega)))
+
+
+def reference_splitting_step(v, dW, model, scheme, grid):
+    """``splitting_step`` as plain expressions, its phase factor from the complex exp."""
+    v = np.asarray(v, dtype=np.complex128)
+    dW = np.asarray(dW, dtype=np.float64)
+    dt = scheme.dt
+    phase = np.exp(-1j * (dt * model.lam * np.abs(v) ** (2.0 * model.sigma) + dW))
+    return np.fft.ifft(np.fft.fft(v * phase) * _step_symbols(grid.N, grid.mu, model.alpha, dt).flow)
+
+
+def h_alpha_norm(v, grid, alpha):
+    """||u||_{H^alpha}^2 = (b - a) sum_k (1 + |k mu|^(2 alpha)) |u~_k|^2, with u~ = fft(u) / N."""
+    coefficients = np.fft.fft(np.asarray(v, dtype=np.complex128)) / grid.N
+    weight = 1.0 + np.abs(grid.wavenumbers()) ** (2.0 * alpha)
+    return float((grid.b - grid.a) * np.sum(weight * np.abs(coefficients) ** 2))
