@@ -12,8 +12,6 @@ from .dynamics import (
     splitting_step,
 )
 from .experiments import (
-    ConvergenceReport,
-    EnsembleReport,
     run_convergence_study,
     run_energy_ensemble,
     run_evolution,
@@ -39,8 +37,6 @@ from .spectral import (
 
 __all__ = [
     "ComplexField",
-    "ConvergenceReport",
-    "EnsembleReport",
     "GridSpec",
     "ModelParams",
     "NoiseModel",

@@ -127,14 +127,10 @@ def _cmd_mass_table(args) -> int:
 def _cmd_converge(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    report = experiments.run_convergence_study(config)
-    rows = []
-    for r, dt in enumerate(report.dts):
-        order = report.orders[r] if r < len(report.orders) else ""
-        rows.append((dt, report.errors[r], report.ci_halfwidths[r], order))
+    rows = experiments.run_convergence_study(config)
     write_csv(out / "convergence.csv", ["dt", "error", "ci_halfwidth", "order"], rows)
-    _say(args, f"errors: {['%.4g' % e for e in report.errors]}")
-    _say(args, f"orders: {['%.3f' % o for o in report.orders]}")
+    _say(args, f"errors: {['%.4g' % row[1] for row in rows]}")
+    _say(args, f"orders: {['%.3f' % row[3] for row in rows[:-1]]}")
     _say(args, f"wrote {out / 'convergence.csv'}")
     return 0
 
@@ -142,14 +138,10 @@ def _cmd_converge(args) -> int:
 def _cmd_energy(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    report = experiments.run_energy_ensemble(config)
-    header = ["time"] + [f"path_{i}" for i in range(report.per_path_energy.shape[0])] + ["mean"]
-    rows = [
-        (t, *report.per_path_energy[:, j], report.mean_energy[j])
-        for j, t in enumerate(report.times)
-    ]
+    rows = experiments.run_energy_ensemble(config)
+    header = ["time"] + [f"path_{i}" for i in range(config.energy_n_paths)] + ["mean"]
     write_csv(out / "energy_ensemble.csv", header, rows)
-    _say(args, f"wrote {out / 'energy_ensemble.csv'} ({len(rows)} rows x {report.per_path_energy.shape[0]} paths)")
+    _say(args, f"wrote {out / 'energy_ensemble.csv'} ({len(rows)} rows x {config.energy_n_paths} paths)")
     return 0
 
 

@@ -257,7 +257,7 @@ _STEPPERS = {"midpoint": midpoint_step, "splitting": splitting_step}
 def _stepper(integrator: str):
     try:
         return _STEPPERS[integrator]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name such as ["midpoint"]
         raise DomainError(f"integrator must be one of {tuple(_STEPPERS)}, got {integrator!r}") from None
 
 

@@ -4,8 +4,9 @@ Four drivers, one per CLI study: the single-trajectory evolve run, the
 per-exponent mass-conservation table, the coupled-path strong-convergence
 study for the splitting scheme, and the energy ensemble under noise.  Every
 config becomes a trajectory here (``_path``, then ``ModelParams``,
-``SchemeParams`` and ``evolve``), whose observer returns the row the study's
-table needs, so its record is that table; the CLI only writes and prints.
+``SchemeParams`` and ``evolve``), whose observer returns what a row of the
+study's table needs.  Every study returns the rows of its CSV; the CLI
+writes them.
 Monte Carlo paths are keyed by (master seed, path index), run one after
 another in path order, one function call each so that a path's tables go
 before the next is drawn, and aggregated in that order, so the same config
@@ -15,7 +16,6 @@ and seed give the same numbers bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,31 +26,6 @@ from .dynamics import ModelParams, Observer, SchemeParams, evolve
 from .errors import ValidationError
 from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-level strong errors of the splitting scheme and fitted orders.
-
-    ``errors[r]`` is the Monte Carlo mean over paths of the max-in-time
-    discrete l2 distance to the shared-path reference; ``orders[r]`` is
-    log2(errors[r] / errors[r+1]); ``ci_halfwidths`` are 95% normal
-    confidence half-widths on each error.
-    """
-
-    dts: tuple[float, ...]
-    errors: tuple[float, ...]
-    orders: tuple[float, ...]
-    ci_halfwidths: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class EnsembleReport:
-    """Energy time series per path plus their columnwise mean."""
-
-    times: tuple[float, ...]
-    per_path_energy: np.ndarray
-    mean_energy: tuple[float, ...]
 
 
 def sech_carrier_initial(grid: GridSpec) -> ComplexField:
@@ -70,12 +45,12 @@ def path_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=[int(master_seed), int(index)]).generate_state(1, np.uint64)[0])
 
 
-def steps_for_horizon(T: float, dt: float, key: str) -> int:
-    if not math.isfinite(T / dt):
-        raise ValidationError(key, f"horizon T={T} over dt={dt} is more steps than a float can count")
-    steps = round(T / dt)
-    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValidationError(key, f"horizon T={T} is not an integral number of steps of dt={dt}")
+def steps_for_horizon(span: float, dt: float, key: str) -> int:
+    if not math.isfinite(span / dt):
+        raise ValidationError(key, f"{span} over dt={dt} is more steps than a float can count")
+    steps = round(span / dt)
+    if steps < 1 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValidationError(key, f"{span} is not an integral number of steps of dt={dt}")
     return steps
 
 
@@ -176,15 +151,18 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine
     return errors
 
 
-def run_convergence_study(config: RunConfig) -> ConvergenceReport:
+def run_convergence_study(config: RunConfig) -> list[tuple]:
     """Strong-convergence study of the splitting scheme on coupled noise paths.
 
     For each path, the finest-level increments are sampled once and every
     coarser level is an exact block sum of them, so all levels and the
-    reference see the same Brownian path.  The per-level error is the Monte
-    Carlo mean over paths of the max-in-time l2 distance to the reference
-    run, sampled at the coarse level's own step times; orders are log2 ratios
-    of successive errors.
+    reference see the same Brownian path.  Returns one (dt, error,
+    ci_halfwidth, order) row per level, coarsest first: the error is the
+    Monte Carlo mean over paths of the max-in-time discrete l2 distance to
+    the reference run, sampled at the level's own step times; the
+    ci_halfwidth is the 95% normal confidence half-width on it (0 on one
+    path); the order is log2(error / next level's error), and "" on the
+    finest level.
     """
     levels = config.converge_levels
     # a whole number of base_dt steps makes the finer levels whole too, so a bad base_dt is named here
@@ -205,32 +183,27 @@ def run_convergence_study(config: RunConfig) -> ConvergenceReport:
         ci = 1.96 * per_path.std(axis=0, ddof=1) / np.sqrt(n_paths)
     else:
         ci = np.zeros(levels)
-    orders = np.log2(errors[:-1] / errors[1:])
-    dts = tuple(config.converge_base_dt / 2**r for r in range(levels))
-    return ConvergenceReport(
-        dts=dts,
-        errors=tuple(float(e) for e in errors),
-        orders=tuple(float(o) for o in orders),
-        ci_halfwidths=tuple(float(c) for c in ci),
-    )
+    orders = [*np.log2(errors[:-1] / errors[1:]), ""]
+    return [(config.converge_base_dt / 2**r, errors[r], ci[r], orders[r]) for r in range(levels)]
 
 
-def _energy_path_series(index: int, config: RunConfig, steps: int) -> tuple[tuple[float, ...], np.ndarray]:
+def _energy_path_series(index: int, config: RunConfig, steps: int) -> list[tuple[float, float]]:
     grid, noise, path = _path(config, steps, config.dt, path_seed(config.noise_seed, index))
     model = ModelParams(config.alpha, config.lam, config.sigma)
     observer = Observer(config.energy_stride, lambda n, t, v: (t, energy(v, grid, model)))
     scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
     _, (series,) = evolve(sech_carrier_initial(grid), "midpoint", model, scheme, grid, path, noise, [observer])
-    times, values = zip(*series)
-    return times, np.array(values)
+    return series
 
 
-def run_energy_ensemble(config: RunConfig) -> EnsembleReport:
-    """Midpoint energy series over an ensemble of independent noise paths."""
+def run_energy_ensemble(config: RunConfig) -> list[tuple]:
+    """Midpoint energy series over an ensemble of independent noise paths.
+
+    Returns one (t, energy of path 0, ..., energy of path P-1, mean) row
+    every ``energy_stride`` steps, with P = ``energy_n_paths``.
+    """
     steps = _run_steps(config, config.dt, ("energy.stride", config.energy_stride))
-    results = [_energy_path_series(i, config, steps) for i in range(config.energy_n_paths)]
-    times = results[0][0]
-    per_path = np.vstack([values for _, values in results])
-    per_path.setflags(write=False)
+    series = [_energy_path_series(i, config, steps) for i in range(config.energy_n_paths)]
+    per_path = np.array([[e for _, e in path_series] for path_series in series])
     mean = per_path.mean(axis=0)
-    return EnsembleReport(times=times, per_path_energy=per_path, mean_energy=tuple(float(m) for m in mean))
+    return [(t, *energies, m) for (t, _), energies, m in zip(series[0], per_path.T, mean)]

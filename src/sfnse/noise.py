@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .spectral import GridSpec, _check_above_zero, _check_at_least, _check_not_negative
+from .spectral import GridSpec, _check_above_zero, _check_at_least, _check_integer, _check_not_negative
 
 _MASK64 = (1 << 64) - 1
 
@@ -286,6 +286,8 @@ def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec)
     bytes whatever the other rows, so the field does not depend on the order
     of the calls.  The returned array is the caller's own.
     """
+    if type(n) is not int:  # the per-step int skips the check: it would cost a third of a field
+        n = _check_integer(n, "step index")
     if not 0 <= n < path.steps:
         raise IndexError(f"step index {n} outside 0..{path.steps - 1}")
     if path.increments.shape[1] != model.K:

@@ -137,10 +137,10 @@ def test_criterion_3_splitting_mass():
 
 @criterion(4, "strong order ~1 for the splitting scheme")
 def test_criterion_4_strong_order():
-    report = run_convergence_study(parse_config(TABLE2_CONFIG))
-    for coarse, fine in zip(report.errors, report.errors[1:]):
-        assert coarse > fine
-    mean_order = float(np.mean(report.orders))
+    rows = run_convergence_study(parse_config(TABLE2_CONFIG))
+    for coarse, fine in zip(rows, rows[1:]):
+        assert coarse[1] > fine[1]
+    mean_order = float(np.mean([row[3] for row in rows[:-1]]))
     assert 0.85 <= mean_order <= 1.45, f"mean order {mean_order}"
 
 
@@ -151,8 +151,8 @@ def test_criterion_4_strong_order():
 @criterion(4.5, "paper-scale per-level errors (optional)")
 def test_criterion_4_optional_full_scale():
     config = replace(parse_config(TABLE2_CONFIG), converge_n_paths=500)
-    report = run_convergence_study(config)
-    for ours, published in zip(report.errors, TABLE2_ERRORS):
+    rows = run_convergence_study(config)
+    for ours, published in zip([row[1] for row in rows], TABLE2_ERRORS):
         assert published / 2 <= ours <= published * 2, (
             f"error {ours:.4g} outside factor-2 band of published {published:.4g}"
         )
@@ -255,8 +255,7 @@ energy.n_paths = 1
 energy.stride = 10
 """
     )
-    control = run_energy_ensemble(control_cfg)
-    series = control.per_path_energy[0]
+    series = np.array([row[1] for row in run_energy_ensemble(control_cfg)])  # the one path's column
     control_drift = float(series.max() - series.min())
     assert control_drift <= 1e-8 * abs(series[0])
 
@@ -270,10 +269,10 @@ energy.n_paths = 10
 energy.stride = 10
 """
     )
-    noisy = run_energy_ensemble(noisy_cfg)
-    assert np.all(np.isfinite(noisy.per_path_energy))
+    noisy = np.array([row[1:-1] for row in run_energy_ensemble(noisy_cfg)]).T  # (paths, samples)
+    assert np.all(np.isfinite(noisy))
     floor = 10.0 * max(control_drift, 1e-12)
-    for row in noisy.per_path_energy:
+    for row in noisy:
         assert (row.max() - row.min()) >= floor
 
 
@@ -323,9 +322,9 @@ converge.ref_level = 4
 converge.n_paths = 6
 noise.K = 10
 """
-    report_a = run_convergence_study(parse_config(converge_text))
-    report_b = run_convergence_study(parse_config(converge_text))
-    assert report_a == report_b
+    rows_a = run_convergence_study(parse_config(converge_text))
+    rows_b = run_convergence_study(parse_config(converge_text))
+    assert rows_a == rows_b
 
 
 @criterion(9, "noise refinement exactness and increment statistics")

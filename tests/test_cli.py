@@ -120,6 +120,21 @@ class TestSubcommands:
         lines = (tmp_path / "out" / "energy_ensemble.csv").read_text().splitlines()
         assert lines[0] == "time,path_0,path_1,mean"
 
+    def test_converge_stdout_reads_the_csv_columns(self, tmp_path, capsys):
+        assert run_cli(["converge"], tmp_path, FAST_CONVERGE) == 0
+        out = tmp_path / "out" / "convergence.csv"
+        table = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        errors = ["%.4g" % float(row[1]) for row in table]
+        orders = ["%.3f" % float(row[3]) for row in table[:-1]]
+        assert capsys.readouterr().out.splitlines() == [f"errors: {errors}", f"orders: {orders}", f"wrote {out}"]
+
+    def test_energy_stdout_counts_rows_and_paths(self, tmp_path, capsys):
+        assert run_cli(["energy"], tmp_path, FAST_ENERGY) == 0
+        out = tmp_path / "out" / "energy_ensemble.csv"
+        rows = len(out.read_text().splitlines()) - 1
+        assert rows == 5  # t = 0, 0.05, ..., 0.2
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out} ({rows} rows x 2 paths)"]
+
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -161,6 +176,12 @@ class TestExitCodes:
         ):
             assert run_cli([command, "--quiet"], tmp_path, text) == 1
             assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_uneven_sample_interval_names_its_own_value(self, tmp_path, capsys):
+        uneven = FAST_MASS.replace("mass.sample_dt = 0.1", "mass.sample_dt = 0.015")
+        assert run_cli(["mass-table", "--quiet"], tmp_path, uneven) == 1
+        err = capsys.readouterr().err
+        assert err == "error: mass.sample_dt: 0.015 is not an integral number of steps of dt=0.01\n"
 
     def test_every_error_class_has_one_exit_code(self, monkeypatch, capsys):
         # the exception types of main's except clauses, read from its source
@@ -471,8 +492,6 @@ def test_package_imports_only_numpy_and_stdlib(tmp_path):
 
 PUBLIC_NAMES = [
     "ComplexField",
-    "ConvergenceReport",
-    "EnsembleReport",
     "GridSpec",
     "ModelParams",
     "NoiseModel",
@@ -510,7 +529,7 @@ def test_public_surface_is_pinned():
     # adding or dropping a public name takes a deliberate edit of this list
     import sfnse
 
-    assert len(PUBLIC_NAMES) == 33 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 31 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sfnse.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sfnse, name) is not None

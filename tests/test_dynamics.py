@@ -444,7 +444,7 @@ class TestEvolve:
 
     def test_unknown_integrator(self):
         grid, model, scheme, noise, path = self._setup()
-        for integrator in ("leapfrog", splitting_step):
+        for integrator in ("leapfrog", splitting_step, ["midpoint"]):
             with pytest.raises(DomainError):
                 evolve(ComplexField(random_state(grid, 20)), integrator, model, scheme, grid, path, noise)
 

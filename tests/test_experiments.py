@@ -126,17 +126,19 @@ noise.K = 4
 
 class TestConvergence:
     def test_coupled_paths_give_decreasing_errors_order_one(self):
-        report = run_convergence_study(tiny_convergence_config())
-        assert len(report.errors) == 3
-        assert all(e > 0 for e in report.errors)
-        assert report.errors[0] > report.errors[1] > report.errors[2]
-        mean_order = float(np.mean(report.orders))
+        rows = run_convergence_study(tiny_convergence_config())
+        errors = [row[1] for row in rows]
+        assert len(errors) == 3
+        assert all(e > 0 for e in errors)
+        assert errors[0] > errors[1] > errors[2]
+        mean_order = float(np.mean([row[3] for row in rows[:-1]]))
         assert 0.7 <= mean_order <= 1.6  # loose band at tiny path count
-        assert len(report.ci_halfwidths) == 3
+        assert [len(row) for row in rows] == [4, 4, 4]
+        assert rows[-1][3] == ""
 
     def test_noise_off_splitting_is_exact_at_every_level(self):
-        report = run_convergence_study(tiny_convergence_config(epsilon=0.0))
-        assert all(e < 1e-11 for e in report.errors)
+        rows = run_convergence_study(tiny_convergence_config(epsilon=0.0))
+        assert all(row[1] < 1e-11 for row in rows)
 
     def test_reference_level_validation(self):
         with pytest.raises(ValidationError) as info:
@@ -145,16 +147,16 @@ class TestConvergence:
 
     def test_cubic_nonlinearity_order_one(self):
         # the splitting step is exact for every sigma >= 0, so the study takes sigma = 1 too
-        report = run_convergence_study(tiny_convergence_config(sigma=1.0))
-        assert report.errors[0] > report.errors[1] > report.errors[2]
-        mean_order = float(np.mean(report.orders))
+        rows = run_convergence_study(tiny_convergence_config(sigma=1.0))
+        assert rows[0][1] > rows[1][1] > rows[2][1]
+        mean_order = float(np.mean([row[3] for row in rows[:-1]]))
         assert 0.85 <= mean_order <= 1.45, f"mean order {mean_order}"
 
     @pytest.mark.parametrize("levels, ref_level", [(3, 5), (3, 3)])  # reference strides 4 and 1
     def test_streamed_errors_match_stored_trajectories_bit_for_bit(self, levels, ref_level):
         config = tiny_convergence_config(converge_levels=levels, converge_ref_level=ref_level)
-        report = run_convergence_study(config)
-        assert report.errors == stored_trajectory_errors(config)
+        rows = run_convergence_study(config)
+        assert tuple(row[1] for row in rows) == stored_trajectory_errors(config)
 
     def test_report_reproducible(self):
         a = run_convergence_study(tiny_convergence_config())
@@ -162,10 +164,13 @@ class TestConvergence:
         assert a == b
 
 
+def energy_columns(rows):
+    """(times, per-path energies as a (paths, samples) array, means) of ``run_energy_ensemble`` rows."""
+    return [row[0] for row in rows], np.array([row[1:-1] for row in rows]).T, [row[-1] for row in rows]
+
+
 class TestEnergyEnsemble:
     def _config(self, epsilon, sigma=0.0, n_paths=3):
-        from dataclasses import replace
-
         config = parse_config(
             f"""
 grid.N = 64
@@ -182,22 +187,22 @@ noise.K = 10
         return config
 
     def test_noise_off_energy_constant(self):
-        report = run_energy_ensemble(self._config(epsilon=0.0))
-        for row in report.per_path_energy:
+        _, per_path, _ = energy_columns(run_energy_ensemble(self._config(epsilon=0.0)))
+        for row in per_path:
             assert (max(row) - min(row)) <= 1e-8 * abs(row[0])
 
     def test_noise_on_energy_moves_and_mean_matches(self):
-        report = run_energy_ensemble(self._config(epsilon=0.1))
-        assert np.all(np.isfinite(report.per_path_energy))
-        spread = report.per_path_energy.max(axis=1) - report.per_path_energy.min(axis=1)
+        times, per_path, mean = energy_columns(run_energy_ensemble(self._config(epsilon=0.1)))
+        assert np.all(np.isfinite(per_path))
+        spread = per_path.max(axis=1) - per_path.min(axis=1)
         assert np.all(spread > 0.0)
-        recomputed = report.per_path_energy.mean(axis=0)
-        assert np.max(np.abs(recomputed - np.array(report.mean_energy))) < 1e-12
-        assert len(report.times) == report.per_path_energy.shape[1]
+        recomputed = per_path.mean(axis=0)
+        assert np.max(np.abs(recomputed - np.array(mean))) < 1e-12
+        assert per_path.shape == (3, len(times))
 
     def test_paths_differ_from_each_other(self):
-        report = run_energy_ensemble(self._config(epsilon=0.1))
-        assert not np.allclose(report.per_path_energy[0], report.per_path_energy[1])
+        _, per_path, _ = energy_columns(run_energy_ensemble(self._config(epsilon=0.1)))
+        assert not np.allclose(per_path[0], per_path[1])
 
 
 EVOLVE_CONFIG = """

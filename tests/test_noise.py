@@ -265,6 +265,19 @@ class TestIncrementField:
         with pytest.raises(IndexError):
             increment_field(path, 3, model, grid)
 
+    @pytest.mark.parametrize("n", [2.0, np.float64(1.0), True, False])
+    def test_non_integer_index_refused(self, grid, n):
+        # a bool is not step 1 or 0, and a float is refused before numpy's slice would see it
+        model = build_noise_model(1, grid)
+        path = sample_wiener_path(model, 3, 0.1, seed=14)
+        with pytest.raises(DomainError, match="step index must be an integer"):
+            increment_field(path, n, model, grid)
+
+    def test_numpy_integer_index_accepted(self, grid):
+        model = build_noise_model(2, grid)
+        path = sample_wiener_path(model, 3, 0.1, seed=14)
+        assert np.array_equal(increment_field(path, np.int64(1), model, grid), increment_field(path, 1, model, grid))
+
     def test_grid_mismatch(self, grid):
         model = build_noise_model(2, grid)
         other = build_grid(0.0, 1.0, 8)
