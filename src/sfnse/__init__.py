@@ -30,7 +30,6 @@ from .output import read_snapshot, write_csv, write_snapshot
 from .spectral import (
     ComplexField,
     GridSpec,
-    apply_frac_laplacian,
     build_grid,
     transform,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "RunConfig",
     "SchemeParams",
     "WienerPath",
-    "apply_frac_laplacian",
     "build_grid",
     "build_noise_model",
     "coarsen_path",

@@ -1,7 +1,7 @@
-"""Command-line entry points.
+"""Run the studies of the stochastic fractional nonlinear Schrodinger equation.
 
 Subcommands: ``evolve`` (single trajectory plus diagnostics), ``mass-table``,
-``converge``, ``energy``, and ``selftest`` (quick operator/property battery).
+``converge`` and ``energy``.
 Exit codes: 0 success, 1 usage or config error (``_USAGE_ERRORS``), 2
 numerical failure (``NonConvergence``), 3 I/O error (``IoError``, ``OSError``).
 SFNSE_SEED overrides the config seed and --seed overrides both; every
@@ -16,16 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
-from .config import RunConfig, _override, parse_config, write_default_config
+from .config import RunConfig, _override, parse_config
 from .diagnostics import mass
-from .dynamics import ModelParams, SchemeParams, evolve, midpoint_step
 from .errors import DomainError, IoError, NonConvergence, ParseError, ValidationError
-from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .output import write_csv, write_snapshot
-from .spectral import ComplexField, apply_frac_laplacian, build_grid
 
 
 class _UsageError(Exception):
@@ -145,77 +140,11 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(20240611)
-    grid = build_grid(0.0, 2.0 * np.pi, 16)
-
-    def check_eigenmode():
-        x = grid.nodes()
-        f = np.exp(1j * 3.0 * grid.mu * x)
-        out = apply_frac_laplacian(f, grid, 0.75)
-        expect = (3.0 * grid.mu) ** 1.5 * f
-        assert np.max(np.abs(out - expect)) < 1e-12 * (3.0 * grid.mu) ** 1.5
-
-    def check_cayley():
-        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        out = midpoint_step(v, np.zeros(16), ModelParams(0.9, 0.0, 0.0), SchemeParams(0.05), grid)
-        lap = np.abs(grid.wavenumbers()) ** 1.8
-        cayley = (2.0 - 1j * 0.05 * lap) / (2.0 + 1j * 0.05 * lap)
-        assert np.max(np.abs(np.abs(cayley) - 1.0)) < 1e-14
-        assert np.max(np.abs(np.fft.fft(out) - cayley * np.fft.fft(v))) < 1e-11
-
-    def check_splitting_mass():
-        model = ModelParams(0.75, -1.0, 0.0)
-        noise = build_noise_model(8, grid, epsilon=0.01)
-        path = sample_wiener_path(noise, 100, 0.01, seed=11)
-        initial = ComplexField(1.0 / np.cosh(grid.nodes() - np.pi) + 0j)
-        m0 = mass(initial.values, grid) ** 2
-        final, _ = evolve(initial, "splitting", model, SchemeParams(0.01), grid, path, noise)
-        assert abs(mass(final.values, grid) ** 2 - m0) < 1e-12 * m0
-
-    def check_coarsen():
-        noise = build_noise_model(4, grid, epsilon=1.0)
-        path = sample_wiener_path(noise, 16, 0.25, seed=5)
-        c2 = coarsen_path(coarsen_path(path, 2), 2)
-        c4 = coarsen_path(path, 4)
-        assert np.array_equal(c2.increments, c4.increments)
-        again = sample_wiener_path(noise, 16, 0.25, seed=5)
-        assert np.array_equal(path.increments, again.increments)
-
-    def check_config_roundtrip():
-        assert parse_config(write_default_config()) == RunConfig()
-
-    return [
-        ("fractional eigenmode", check_eigenmode),
-        ("midpoint Cayley unitarity", check_cayley),
-        ("splitting mass conservation", check_splitting_mass),
-        ("noise determinism and coarsening", check_coarsen),
-        ("config default round-trip", check_config_roundtrip),
-    ]
-
-
-def _cmd_selftest(args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except Exception as exc:  # noqa: BLE001 - report every failure
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 2
-    return 0
-
-
 _COMMANDS = {
     "evolve": (_cmd_evolve, "run a single trajectory and write diagnostics", _RUN_FLAGS),
     "mass-table": (_cmd_mass_table, "midpoint mass-conservation table over several exponents", _RUN_FLAGS),
     "converge": (_cmd_converge, "strong-convergence study of the splitting scheme", _RUN_FLAGS + ("--paths",)),
     "energy": (_cmd_energy, "energy ensemble under noise", _RUN_FLAGS + ("--paths",)),
-    "selftest": (_cmd_selftest, "run the quick operator/property battery", ()),
 }
 
 

@@ -75,10 +75,17 @@ class SchemeParams:
         _check_at_least(self.fp_max_iter, 1, "fp_max_iter")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _check_step_args(v: np.ndarray, dW, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     # a complex64 state is stepped as its complex128 cast, never in single precision
     v = _field_values(v, grid)
-    dW = np.asarray(dW, dtype=np.float64)
+    # a float64 array, every step's increment, is taken as it is
+    if type(dW) is not np.ndarray or dW.dtype is not _FLOAT64:
+        if np.iscomplexobj(dW):  # the cast would drop its imaginary part
+            raise DomainError("noise increment must be real, got a complex array")
+        dW = np.asarray(dW, dtype=np.float64)
     if dW.shape != (grid.N,):
         raise DomainError(f"noise increment shape {dW.shape} does not match grid N={grid.N}")
     return v, dW

@@ -70,19 +70,22 @@ class GridSpec:
         if not (self.b > self.a and np.isfinite(self.b - self.a)):
             raise DomainError(f"grid needs finite a < b, got [{self.a}, {self.b})")
         _check_grid_n(self.N)
+        mu = 2.0 * np.pi / (self.b - self.a)
+        # (N/2 mu)^2 bounds |k mu|^(2 alpha) for every alpha in (0, 1]: past it the
+        # fractional Laplacian's multiplier, and every step, is not finite
+        top = self.N / 2 * float(mu)
+        if not math.isfinite(top * top):
+            raise DomainError(f"grid [{self.a}, {self.b}) with N={self.N} is too short: its wavenumbers overflow")
         object.__setattr__(self, "h", (self.b - self.a) / self.N)
-        object.__setattr__(self, "mu", 2.0 * np.pi / (self.b - self.a))
+        object.__setattr__(self, "mu", mu)
 
     def nodes(self) -> np.ndarray:
         """Grid nodes x_j, j = 0..N-1."""
         return self.a + self.h * np.arange(self.N)
 
-    def wavenumbers(self) -> np.ndarray:
-        """Physical wavenumbers k*mu in DFT ordering k = 0..N/2-1, -N/2..-1."""
-        return _wavenumbers(self.N, self.mu)
-
 
 def _wavenumbers(N: int, mu: float) -> np.ndarray:
+    """Physical wavenumbers k*mu in DFT ordering k = 0..N/2-1, -N/2..-1."""
     return mu * np.fft.fftfreq(N, d=1.0 / N)
 
 
@@ -143,8 +146,8 @@ class ComplexField:
             raise DomainError(f"field values must be a 1-D array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DomainError("field contains non-finite values")
-        if not np.isfinite(self.time):
-            raise DomainError(f"field time must be finite, got {self.time}")
+        if not _is_real(self.time):
+            raise DomainError(f"field time must be a finite real, got {self.time!r}")
         object.__setattr__(self, "values", v)
 
 
@@ -190,13 +193,3 @@ def transform(v, grid: GridSpec, direction: str = "forward") -> np.ndarray:
     if direction == "inverse":
         return _ifft(v) * grid.N
     raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def apply_frac_laplacian(v, grid: GridSpec, alpha: float) -> np.ndarray:
-    """Apply the positive fractional Laplacian, multiplier +|k*mu|^(2*alpha).
-
-    Takes and returns length-N arrays.  Sign conventions are left to the
-    callers: time-stepping schemes apply their own signs to this positive
-    operator.
-    """
-    return _ifft(_fft(_field_values(v, grid)) * _frac_multiplier(grid.N, grid.mu, alpha))

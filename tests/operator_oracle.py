@@ -8,6 +8,10 @@ solver never applies it: the schemes act through the Laplacian's multiplier
 alone, so the square root lives here, next to the dense matrix realisations
 D1 (square root) and D2 (fractional Laplacian) that the structure checks use.
 
+``apply_frac_laplacian`` is the positive fractional Laplacian itself, on
+the package's own FFT pair and multiplier: the schemes never apply it as an
+operator, but the eigenmode, Cayley and midpoint-relation checks do.
+
 The symplecticity checks live here too.  The paper's discrete symplectic law
 is a property of a scheme's map, not of a run, so no study computes it.  With
 its noise increment frozen, a step is a smooth map of (p, q) = (Re u, Im u),
@@ -32,6 +36,7 @@ import math
 import numpy as np
 
 from sfnse.dynamics import _step_symbols
+from sfnse.spectral import _fft, _frac_multiplier, _ifft, _wavenumbers
 
 _TANGENT_PAIRS = 8  # unit tangent pairs (xi, eta) the matrix-free check probes
 _TANGENT_SEED = 5  # seed of their complex Gaussian draws
@@ -40,11 +45,20 @@ _FD_EPS = 1e-6  # central-difference size: balances truncation against cancellat
 
 def g_symbol(grid, alpha):
     """i*k*mu*|k*mu|^(alpha-1) in DFT ordering, zero at k = 0 and at the Nyquist bin."""
-    kmu = grid.wavenumbers()
+    kmu = _wavenumbers(grid.N, grid.mu)
     # sign(k)*|k*mu|^alpha == k*mu*|k*mu|^(alpha-1) without the 0**negative hazard
     g = 1j * np.sign(kmu) * np.abs(kmu) ** alpha
     g[grid.N // 2] = 0.0  # odd symbol: the two half-weight Nyquist images cancel
     return g
+
+
+def apply_frac_laplacian(v, grid, alpha):
+    """The positive fractional Laplacian, multiplier +|k*mu|^(2*alpha), applied to a length-N array.
+
+    It runs on the package's FFT pair and cached multiplier, so its bytes
+    are those of the linear part of both schemes.
+    """
+    return _ifft(_fft(v) * _frac_multiplier(grid.N, grid.mu, alpha))
 
 
 def apply_g(v, grid, alpha):
@@ -128,5 +142,5 @@ def reference_splitting_step(v, dW, model, scheme, grid):
 def h_alpha_norm(v, grid, alpha):
     """||u||_{H^alpha}^2 = (b - a) sum_k (1 + |k mu|^(2 alpha)) |u~_k|^2, with u~ = fft(u) / N."""
     coefficients = np.fft.fft(np.asarray(v, dtype=np.complex128)) / grid.N
-    weight = 1.0 + np.abs(grid.wavenumbers()) ** (2.0 * alpha)
+    weight = 1.0 + np.abs(_wavenumbers(grid.N, grid.mu)) ** (2.0 * alpha)
     return float((grid.b - grid.a) * np.sum(weight * np.abs(coefficients) ** 2))

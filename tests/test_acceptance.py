@@ -32,9 +32,16 @@ from sfnse.experiments import (
 )
 from sfnse.noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from sfnse.output import write_csv
-from sfnse.spectral import ComplexField, _frac_multiplier, apply_frac_laplacian, build_grid
+from sfnse.spectral import ComplexField, _frac_multiplier, build_grid
 
-from operator_oracle import apply_g, dense_operator, dense_symplectic_defect, h_alpha_norm, symplectic_defect
+from operator_oracle import (
+    apply_frac_laplacian,
+    apply_g,
+    dense_operator,
+    dense_symplectic_defect,
+    h_alpha_norm,
+    symplectic_defect,
+)
 
 TABLE1_T0 = 1.414211518677561
 TABLE2_ERRORS = (2.681e-2, 1.345e-2, 6.448e-3, 2.861e-3, 1.087e-3)

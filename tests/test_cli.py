@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sfnse import cli, errors, experiments
 from sfnse.cli import main
@@ -135,11 +136,14 @@ class TestSubcommands:
         assert rows == 5  # t = 0, 0.05, ..., 0.2
         assert capsys.readouterr().out.splitlines() == [f"wrote {out} ({rows} rows x 2 paths)"]
 
-    def test_selftest(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+    def test_only_the_four_studies(self, capsys):
+        # the removed selftest battery is refused like any unknown subcommand
+        assert main(["selftest"]) == 1
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
+        for command in ("evolve", "mass-table", "converge", "energy"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
 
 
 class TestExitCodes:
@@ -161,6 +165,8 @@ class TestExitCodes:
         long_snap = FAST_EVOLVE.replace("output.snapshot_stride = 5", "output.snapshot_stride = 50")
         # T = 0.1 is no whole number of 0.03 steps; the fine dt 0.03 / 16 is named through base_dt
         uneven = FAST_CONVERGE.replace("converge.base_dt = 0.01", "converge.base_dt = 0.03")
+        # mu = 2 pi / 1e-320 overflows, and with it every Fourier multiplier
+        short = FAST_EVOLVE.replace("grid.N = 64", "grid.a = 0\ngrid.b = 1e-320\ngrid.N = 8")
         for command, text, key in (
             ("mass-table", "model.alpha = 1.5", "model.alpha"),
             ("mass-table", overflow, "mass.sample_dt"),
@@ -173,6 +179,7 @@ class TestExitCodes:
             ("converge", tiny, "converge.ref_level"),
             ("converge", one_level, "converge.levels"),
             ("converge", coarse_ref, "converge.ref_level"),
+            ("evolve", short, "grid.b"),
         ):
             assert run_cli([command, "--quiet"], tmp_path, text) == 1
             assert capsys.readouterr().err.startswith(f"error: {key}: ")
@@ -204,8 +211,8 @@ class TestExitCodes:
             def fail(args, exc=exc):
                 raise exc
 
-            monkeypatch.setitem(cli._COMMANDS, "selftest", (fail, "", ()))
-            assert main(["selftest"]) == code
+            monkeypatch.setitem(cli._COMMANDS, "evolve", (fail, "", ()))
+            assert main(["evolve"]) == code
             assert capsys.readouterr().err.startswith(prefix)
 
     def test_unknown_key(self, tmp_path, capsys):
@@ -240,13 +247,13 @@ class TestExitCodes:
         code = main(["mass-table", "--config", str(tmp_path / "absent.cfg")])
         assert code == 3
 
-    def test_usage_error(self, tmp_path, capsys):
-        # selftest takes no flags; --paths belongs to converge and energy only
+    def test_usage_error(self, capsys):
+        # --paths belongs to converge and energy only; a flag without its value or an unknown flag is refused
         for argv in (
             ["mass-table", "--paths"],
             ["energy", "--paths"],
-            ["selftest", "--quiet"],
-            ["selftest", "--config", str(tmp_path / "absent.cfg"), "--paths", "7"],
+            ["converge", "--bogus"],
+            ["mass-table", "--config"],
             ["evolve", "--paths", "2"],
             ["mass-table", "--paths", "2"],
         ):
@@ -455,15 +462,18 @@ def _src_env():
 
 
 def test_console_entry_point(tmp_path):
+    (tmp_path / "run.cfg").write_text(FAST_EVOLVE)
     result = subprocess.run(
-        [sys.executable, "-m", "sfnse.cli", "selftest"],
+        [sys.executable, "-m", "sfnse.cli", "evolve", "--config", "run.cfg", "--out", "out"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
         env=_src_env(),
     )
-    assert result.returncode == 0
-    assert "PASS" in result.stdout
+    assert result.returncode == 0, result.stderr
+    csv = tmp_path / "out" / "evolve_diagnostics.csv"
+    assert csv.read_text().splitlines()[0] == "time,mass,energy,max_amplitude"
+    assert f"wrote {Path('out') / 'evolve_diagnostics.csv'}" in result.stdout
 
 
 def test_package_imports_only_numpy_and_stdlib(tmp_path):
@@ -499,7 +509,6 @@ PUBLIC_NAMES = [
     "RunConfig",
     "SchemeParams",
     "WienerPath",
-    "apply_frac_laplacian",
     "build_grid",
     "build_noise_model",
     "coarsen_path",
@@ -529,7 +538,7 @@ def test_public_surface_is_pinned():
     # adding or dropping a public name takes a deliberate edit of this list
     import sfnse
 
-    assert len(PUBLIC_NAMES) == 31 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 30 and PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sfnse.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(sfnse, name) is not None

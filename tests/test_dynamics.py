@@ -20,7 +20,9 @@ from sfnse.dynamics import (
 from sfnse.errors import DomainError, NonConvergence
 from sfnse.experiments import path_seed, sech_carrier_initial
 from sfnse.noise import WienerPath, build_noise_model, increment_field, sample_wiener_path
-from sfnse.spectral import ComplexField, _frac_multiplier, apply_frac_laplacian, build_grid
+from sfnse.spectral import ComplexField, _frac_multiplier, build_grid
+
+from operator_oracle import apply_frac_laplacian
 
 
 def small_grid(N=16):
@@ -292,6 +294,13 @@ class TestMidpoint:
             for step in (midpoint_step, splitting_step):
                 with pytest.raises(DomainError, match="does not match grid N="):
                     step(v, dW, ModelParams(0.75, 0.0, 0.0), SchemeParams(0.01), grid)
+
+    @pytest.mark.parametrize("step", [midpoint_step, splitting_step])
+    def test_complex_increment_refused(self, step):
+        # casting it to float64 would drop its imaginary part with only a ComplexWarning
+        grid = small_grid()
+        with pytest.raises(DomainError, match="noise increment must be real"):
+            step(random_state(grid, 7), 1j * np.ones(grid.N), ModelParams(0.75, 0.0, 0.0), SchemeParams(0.01), grid)
 
 
 class TestSplitting:
