@@ -34,15 +34,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from .dynamics import _stepper
 from .errors import DomainError, ParseError, ValidationError
-from .noise import _check_profile, _check_philox_seed
+from .noise import _check_profile, _check_profile_table, _check_philox_seed
 from .spectral import GridSpec, _check_alpha, _check_grid_n, _is_real
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative
-
-
-# cap on the steps x K increment table and on the K x N profile table: 256 MiB
-# of float64 each.  Both are built in place, so building one peaks at its own
-# size (sampling adds one noise._BLOCK of temporaries, about 2 MB)
-MAX_TABLE_ENTRIES = 2**25
 
 
 class _Malformed(Exception):
@@ -177,10 +171,10 @@ class RunConfig:
         # base_dt / 2**ref_level without forming 2**ref_level, which can be past any float
         if math.ldexp(self.converge_base_dt, -ref) == 0.0:
             raise ValidationError("converge.ref_level", f"converge.base_dt halved {ref} times underflows a float")
-        if self.noise_k * self.grid_n > MAX_TABLE_ENTRIES:
-            raise ValidationError(
-                "noise.K", f"K={self.noise_k} modes on N={self.grid_n} nodes need over {MAX_TABLE_ENTRIES} entries"
-            )
+        try:
+            _check_profile_table(self.noise_k, self.grid_n)
+        except DomainError as exc:
+            raise ValidationError("noise.K", str(exc)) from None
 
 
 _BY_KEY = {setting.metadata["key"]: setting for setting in fields(RunConfig)}

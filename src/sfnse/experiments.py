@@ -20,11 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .config import MAX_TABLE_ENTRIES, RunConfig
+from .config import RunConfig
 from .diagnostics import energy, l2_error, mass
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
-from .errors import ValidationError
-from .noise import NoiseModel, WienerPath, build_noise_model, coarsen_path, sample_wiener_path
+from .errors import DomainError, ValidationError
+from .noise import MAX_TABLE_ENTRIES, NoiseModel, WienerPath, _check_increment_table
+from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
 
 
@@ -67,12 +68,10 @@ def _run_steps(config: RunConfig, dt: float, *strides: tuple[str, int]) -> int:
     Refuses an increment table above MAX_TABLE_ENTRIES, and each (key, stride)
     longer than the run: a sample every stride steps would fire at t = 0 alone.
     """
-    if config.horizon_t / dt * config.noise_k > MAX_TABLE_ENTRIES:
-        raise ValidationError(
-            "horizon.T",
-            f"T={config.horizon_t} at dt={dt} with K={config.noise_k} modes "
-            f"needs an increment table above {MAX_TABLE_ENTRIES} entries"
-        )
+    try:
+        _check_increment_table(config.horizon_t / dt, config.noise_k, f"T={config.horizon_t} at dt={dt}")
+    except DomainError as exc:
+        raise ValidationError("horizon.T", str(exc)) from None
     steps = steps_for_horizon(config.horizon_t, dt, "horizon.T")
     for key, stride in strides:
         if stride > steps:

@@ -88,15 +88,34 @@ def _check_profile(profile: str) -> str:
     return profile
 
 
+# cap on the steps x K increment table and on the K x N profile table: 256 MiB
+# of float64 each.  Both are built in place, so building one peaks at its own
+# size (sampling adds one _BLOCK of temporaries, about 2 MB)
+MAX_TABLE_ENTRIES = 2**25
+
+
+def _check_profile_table(K: int, N: int) -> None:
+    if K * N > MAX_TABLE_ENTRIES:
+        raise DomainError(f"K={K} modes on N={N} nodes need over {MAX_TABLE_ENTRIES} entries")
+
+
+def _check_increment_table(steps: float, K: int, span: str) -> None:
+    # ``steps`` may be a float ratio T / dt, checked before it is rounded to a count; ``span`` names it
+    if steps * K > MAX_TABLE_ENTRIES:
+        raise DomainError(f"{span} with K={K} modes needs an increment table above {MAX_TABLE_ENTRIES} entries")
+
+
 def build_noise_model(K: int, grid: GridSpec, epsilon: float = 0.0, profile: str = "sin") -> NoiseModel:
     """Sample the noise mode profiles at the grid nodes.
 
     ``profile`` names the built-in family, l = 1..K, sampled at the absolute coordinates
     of the grid nodes: "sin" is (1/l) * sin(pi * l * x) and "unit" is sin(pi * l * x).
+    A (K, N) table above ``MAX_TABLE_ENTRIES`` is refused before anything is built.
     """
     K = _check_at_least(K, 1, "noise K")
     epsilon = _check_not_negative(epsilon, "noise amplitude epsilon")
     family = _PROFILES[_check_profile(profile)]
+    _check_profile_table(K, grid.N)
     x = grid.nodes()
     l = np.arange(1, K + 1, dtype=np.float64)[:, None]
     profiles = family(l, x[None, :])
@@ -201,9 +220,11 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     the same seed gives the same table bit for bit, and paths with different
     seeds are independent.  A coarse path is the exact block sum of this
     table (``coarsen_path``), so coarse and fine paths share their randomness.
+    A table above ``MAX_TABLE_ENTRIES`` is refused before anything is drawn.
     """
     steps = _check_at_least(steps, 1, "path steps")
     dt = _check_above_zero(dt, "path dt")
+    _check_increment_table(steps, model.K, f"{steps} steps")
     inc = np.empty((steps, model.K))
     flat = inc.reshape(-1)
     words = np.random.Philox(key=np.array([_check_philox_seed(seed), 0], dtype=np.uint64))

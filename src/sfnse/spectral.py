@@ -1,8 +1,11 @@
 """Periodic grid, discrete Fourier transforms, and the fractional Laplacian.
 
 On a uniform periodic grid the fractional Laplacian acts as the diagonal
-Fourier multiplier |k*mu|^(2*alpha).  The module also holds the argument
-checkers every module shares, so each range rule is written once.
+Fourier multiplier |k*mu|^(2*alpha).  Every transform in the package goes
+through the pair ``_fft``/``_ifft``, whose one kernel is numpy's pocketfft
+(``numpy.fft._pocketfft_umath``, numpy >= 2.0), the kernel behind ``np.fft``.
+The module also holds the argument checkers every module shares, so each
+range rule is written once.
 """
 
 from __future__ import annotations
@@ -13,13 +16,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # the C kernels behind np.fft, since numpy 2.0
 
 from .errors import DomainError
-
-try:  # the C kernels behind np.fft since numpy 2.0
-    from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:  # numpy < 2.0
-    _pocketfft = None
 
 
 def _fft(v, out=None) -> np.ndarray:
@@ -34,9 +33,6 @@ def _fft(v, out=None) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if out is None:
         out = np.empty_like(v)
-    if _pocketfft is None:
-        out[...] = np.fft.fft(v)
-        return out
     return _pocketfft.fft(v, 1.0, out=out)
 
 
@@ -45,9 +41,6 @@ def _ifft(v, out=None) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if out is None:
         out = np.empty_like(v)
-    if _pocketfft is None:
-        out[...] = np.fft.ifft(v)
-        return out
     return _pocketfft.ifft(v, 1.0 / v.shape[-1], out=out)
 
 
@@ -184,8 +177,8 @@ def transform(v, grid: GridSpec, direction: str = "forward") -> np.ndarray:
     Forward returns the coefficients u~_k = (1/N) sum_j u_j exp(-i k mu (x_j - a))
     in DFT ordering; inverse is its exact inverse, so a round trip is the
     identity to roundoff.  Takes and returns length-N arrays.  Like every
-    transform in the package it runs on numpy's pocketfft kernels directly
-    (``np.fft`` on numpy < 2.0), so its bytes equal those of ``np.fft``.
+    transform in the package it runs on numpy's pocketfft kernels directly,
+    so its bytes equal those of ``np.fft``.
     """
     v = _field_values(v, grid)
     if direction == "forward":

@@ -39,6 +39,7 @@ from operator_oracle import (
     apply_g,
     dense_operator,
     dense_symplectic_defect,
+    ground_state,
     h_alpha_norm,
     symplectic_defect,
 )
@@ -369,28 +370,56 @@ def test_criterion_10_field_smoke():
         assert max(amps) <= 2.0 * peak0
 
 
-def _max_h_alpha_norm(alpha, N, dt, T=2.0):
+def _max_h_alpha_norms(alpha, sigma, epsilon, T, initial):
     # max over t in [0, T], sampled every 0.01, of ||u||_{H^alpha}^2 on the
-    # splitting scheme from 1.5 sech(x): the focusing cubic, eps 0.01, K 100,
-    # path seed 0, whose increments the N = 1024 and 2048 runs share
-    grid = build_grid(-20.0, 20.0, N)
-    noise = build_noise_model(100, grid, epsilon=0.01)
-    path = sample_wiener_path(noise, round(T / dt), dt, seed=0)
-    model = ModelParams(alpha=alpha, lam=-1.0, sigma=1.0)
-    observer = Observer(round(0.01 / dt), lambda n, t, v: h_alpha_norm(v, grid, alpha))
-    initial = ComplexField(1.5 / np.cosh(grid.nodes()) + 0j)
-    _, (norms,) = evolve(initial, "splitting", model, SchemeParams(dt), grid, path, noise, [observer])
-    return max(norms)
+    # splitting scheme from initial(grid): lam -1, K 100 sin profiles at
+    # amplitude epsilon, path seed 0; on the grid pair N = 1024, dt 1e-3 and
+    # N = 2048, dt 5e-4, whose increment tables share their Philox stream
+    norms = []
+    for N, dt in ((1024, 1e-3), (2048, 5e-4)):
+        grid = build_grid(-20.0, 20.0, N)
+        noise = build_noise_model(100, grid, epsilon=epsilon)
+        path = sample_wiener_path(noise, round(T / dt), dt, seed=0)
+        model = ModelParams(alpha=alpha, lam=-1.0, sigma=sigma)
+        observer = Observer(round(0.01 / dt), lambda n, t, v: h_alpha_norm(v, grid, alpha))
+        initial_field = ComplexField(initial(grid) + 0j)
+        _, (series,) = evolve(initial_field, "splitting", model, SchemeParams(dt), grid, path, noise, [observer])
+        norms.append(max(series))
+    return norms
+
+
+def _sech_15(grid):
+    return 1.5 / np.cosh(grid.nodes())
 
 
 @criterion(11, "global existence: the H^alpha norm is grid-converged for sigma < 2 alpha")
 def test_criterion_11_global_existence():
-    # the paper's first claim, checked on a grid pair: N = 1024, dt 1e-3 against
-    # N = 2048, dt 5e-4.  Measured: alpha 0.6 (sigma < 2 alpha) 49.24 -> 49.05
-    # (-0.4 %), alpha 0.45 (sigma > 2 alpha, where ModelParams warns) 131.1 ->
-    # 241.0 (+84 %): the supercritical state concentrates further as the grid refines
-    subcritical = [_max_h_alpha_norm(0.6, N, dt) for N, dt in ((1024, 1e-3), (2048, 5e-4))]
+    # the paper's first claim, from 1.5 sech(x) with eps 0.01 up to T = 2.
+    # Measured: alpha 0.6 (sigma < 2 alpha) 49.24 -> 49.05 (-0.4 %), alpha
+    # 0.45 (sigma > 2 alpha, where ModelParams warns) 131.1 -> 241.0 (+84 %):
+    # the supercritical state concentrates further as the grid refines
+    subcritical = _max_h_alpha_norms(0.6, 1.0, 0.01, 2.0, _sech_15)
     assert abs(subcritical[1] / subcritical[0] - 1.0) < 0.02
     with pytest.warns(UserWarning, match="focusing run"):
-        supercritical = [_max_h_alpha_norm(0.45, N, dt) for N, dt in ((1024, 1e-3), (2048, 5e-4))]
+        supercritical = _max_h_alpha_norms(0.45, 1.0, 0.01, 2.0, _sech_15)
     assert supercritical[1] / supercritical[0] - 1.0 > 0.15
+
+
+@criterion(12, "critical mass: below the ground state's mass the H^alpha norm is grid-converged, above it grows")
+@pytest.mark.parametrize("alpha", [0.75, 0.6])
+def test_criterion_12_critical_mass_threshold(alpha):
+    # at the L2-critical power sigma = 2 alpha a solution with less mass than
+    # the ground state Q is global (sharp Gagliardo-Nirenberg), one with more
+    # may concentrate.  From c Q with eps 0.05 up to T = 4, measured: alpha
+    # 0.75 at c = 0.95 3.931 -> 3.930 (-0.03 %), at c = 1.05 431 -> 1304
+    # (+202 %); alpha 0.6 at c = 0.95 4.180 -> 4.179 (-0.01 %), at c = 1.05
+    # 165 -> 375 (+127 %)
+    def scaled(c):
+        return lambda grid: c * ground_state(grid, alpha, 2 * alpha)
+
+    with pytest.warns(UserWarning, match="focusing run"):
+        below = _max_h_alpha_norms(alpha, 2 * alpha, 0.05, 4.0, scaled(0.95))
+    assert abs(below[1] / below[0] - 1.0) < 0.01
+    with pytest.warns(UserWarning, match="focusing run"):
+        above = _max_h_alpha_norms(alpha, 2 * alpha, 0.05, 4.0, scaled(1.05))
+    assert above[1] / above[0] - 1.0 > 0.5

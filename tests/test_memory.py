@@ -8,9 +8,12 @@ build and the whole-array build it replaced.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from sfnse.cli import main
-from sfnse.noise import _FIELD_ROWS, build_noise_model, coarsen_path, increment_field, sample_wiener_path
+from sfnse.errors import DomainError
+from sfnse.noise import _FIELD_ROWS, MAX_TABLE_ENTRIES, _check_increment_table, _check_profile_table
+from sfnse.noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from sfnse.output import read_snapshot
 from sfnse.spectral import build_grid
 
@@ -47,6 +50,24 @@ def test_profiles_peak_at_the_table():
         peak, model = traced_peak(lambda: build_noise_model(500, grid, profile=profile))
         table = model.mode_profiles.nbytes
         assert peak < table + 1 * MB
+
+
+def test_tables_past_the_cap_are_refused_before_they_are_built():
+    # a table at the cap is admitted (checked without building it, 256 MiB); one
+    # entry past it is refused with under 1 MB allocated.  On an even grid the
+    # smallest profile table past the cap is 2^25 + 2 entries: 65281 modes on 514 nodes
+    _check_increment_table(MAX_TABLE_ENTRIES, 1, "a path")
+    _check_profile_table(MAX_TABLE_ENTRIES // 512, 512)
+    one_mode = build_noise_model(1, build_grid(0.0, 40.0, 64))
+    wide = build_grid(0.0, 40.0, 514)
+    assert 65281 * wide.N == MAX_TABLE_ENTRIES + 2
+    for build, message in (
+        (lambda: sample_wiener_path(one_mode, MAX_TABLE_ENTRIES + 1, 0.01, seed=1), "increment table above"),
+        (lambda: build_noise_model(65281, wide), "K=65281 modes on N=514 nodes need over"),
+    ):
+        peak, refusal = traced_peak(lambda: pytest.raises(DomainError, build))
+        assert refusal.match(message)
+        assert peak < 1 * MB
 
 
 def test_coarsening_peaks_at_the_coarse_table_plus_one_block():

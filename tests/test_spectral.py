@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sfnse import spectral
 from sfnse.dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
 from sfnse.errors import DomainError
 from sfnse.spectral import ComplexField, _fft, _frac_multiplier, _ifft, build_grid, transform
@@ -142,25 +141,14 @@ class TestFftPair:
             assert _same_bits(_ifft(v), np.fft.ifft(v))
 
     @pytest.mark.parametrize("N", [4, 400])
-    @pytest.mark.parametrize("pocketfft", [True, False])
-    def test_out_array_receives_the_same_bits(self, N, pocketfft, monkeypatch):
-        # into a given array, or in place; without pocketfft (numpy < 2.0) np.fft's result is copied in
-        if not pocketfft:
-            monkeypatch.setattr(spectral, "_pocketfft", None)
+    def test_out_array_receives_the_same_bits(self, N):
+        # into a given array, or in place
         for v in _fft_inputs(N):
             for transform, reference in ((_fft, np.fft.fft), (_ifft, np.fft.ifft)):
                 out = np.empty(v.shape, dtype=np.complex128)
                 assert transform(v, out=out) is out and _same_bits(out, reference(v))
                 inplace = v.astype(np.complex128)
                 assert transform(inplace, out=inplace) is inplace and _same_bits(inplace, reference(v))
-
-    @pytest.mark.parametrize("N", [4, 400])
-    def test_fallback_without_pocketfft_module_gives_same_bits(self, N, monkeypatch):
-        fast = [(_fft(v), _ifft(v)) for v in _fft_inputs(N)]
-        monkeypatch.setattr(spectral, "_pocketfft", None)
-        for v, (fwd, inv) in zip(_fft_inputs(N), fast):
-            assert _same_bits(_fft(v), fwd)
-            assert _same_bits(_ifft(v), inv)
 
     def test_complex64_transformed_in_double_precision(self):
         v = random_field(build_grid(0.0, 1.0, 64), 5).astype(np.complex64)

@@ -11,6 +11,11 @@ two to roundoff.
 With spatially constant noise profiles the noise field is constant in x, so
 it commutes with the flow: u(t) = exp(-i eps beta(t)) v(t), v the noise-free
 solution, and at sigma = 0 v(t) = exp(-i lam t) exp(-i t L) u0 in closed form.
+
+Without noise and with lam = -1, u(t) = exp(i t) Q solves the nonlinear
+equation exactly, Q the grid's ground state (``ground_state`` in
+tests/operator_oracle.py), so both schemes' time errors are measured against
+it with no spatial error mixed in.
 """
 
 import itertools
@@ -20,14 +25,13 @@ import warnings
 import numpy as np
 import pytest
 
-from sfnse import spectral
 from sfnse.diagnostics import l2_error
 from sfnse.dynamics import ModelParams, SchemeParams, evolve, midpoint_step, splitting_step
 from sfnse.experiments import sech_carrier_initial
-from sfnse.noise import NoiseModel, coarsen_path, sample_wiener_path
-from sfnse.spectral import _frac_multiplier, build_grid
+from sfnse.noise import NoiseModel, build_noise_model, coarsen_path, sample_wiener_path
+from sfnse.spectral import ComplexField, _frac_multiplier, build_grid
 
-from operator_oracle import reference_splitting_step
+from operator_oracle import apply_frac_laplacian, ground_state, reference_splitting_step
 
 KERNELS = (midpoint_step, splitting_step)
 
@@ -106,18 +110,6 @@ class TestOracleBytes:
                 assert not np.shares_memory(a, b)
             assert _same_bytes(first, kept)
 
-    @pytest.mark.parametrize("N", [4, 400])
-    def test_fallback_transforms_give_the_same_bytes(self, N, monkeypatch):
-        # without numpy's pocketfft module (numpy < 2.0) the FFT pair runs np.fft
-        # and copies into its out array
-        cases = [(_case(N, seed=N + s), _model(0.75, lam, sigma)) for s, (lam, sigma) in enumerate(((-1, 0), (2.5, 1)))]
-        scheme = SchemeParams(0.01)
-        fast = [[step(v, dW, model, scheme, grid) for step in KERNELS] for (grid, v, dW), model in cases]
-        monkeypatch.setattr(spectral, "_pocketfft", None)
-        for ((grid, v, dW), model), results in zip(cases, fast):
-            for step, want in zip(KERNELS, results):
-                assert _same_bytes(step(v, dW, model, scheme, grid), want)
-
 
 def _const_noise(K, grid, epsilon):
     # profile 1 for every mode: the noise field is eps * (sum of the increments) at every node
@@ -177,3 +169,35 @@ class TestConstNoiseOracle:
         orders = [math.log2(errors[r] / errors[r + 1]) for r in range(levels)]
         assert 1e-4 < errors[0] < 1e-3
         assert all(1.7 <= order <= 2.1 for order in orders), orders
+
+
+class TestGroundStateSolution:
+    GRID = build_grid(-20.0, 20.0, 512)
+
+    @pytest.mark.parametrize("alpha, mass", [(0.75, 2.6092), (0.6, 2.5312)])
+    def test_ground_state_solves_its_equation(self, alpha, mass):
+        grid = self.GRID
+        q = ground_state(grid, alpha, 2 * alpha)
+        residual = apply_frac_laplacian(q, grid, alpha) + q - np.abs(q) ** (4 * alpha) * q
+        assert np.max(np.abs(residual)) < 1e-12
+        assert np.all(q > 0)
+        assert grid.h * np.sum(q**2) == pytest.approx(mass, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha", [0.75, 0.6])
+    @pytest.mark.parametrize("integrator, order", [("splitting", 1.0), ("midpoint", 2.0)])
+    def test_errors_against_the_exact_solution_fall_at_the_scheme_order(self, alpha, integrator, order):
+        # T = 1 at dt = 0.02 / 2^r, r = 0..4.  Measured at N = 512: splitting
+        # errors 8.3e-2 .. 5.2e-3 at orders 0.96-1.00, midpoint 1.0e-3 .. 3.1e-6 at 2.00
+        grid = self.GRID
+        q = ground_state(grid, alpha, 2 * alpha)
+        with pytest.warns(UserWarning, match="focusing run"):
+            model = ModelParams(alpha, -1.0, 2 * alpha)
+        noise = build_noise_model(1, grid)  # epsilon 0: every noise field is 0
+        errors = []
+        for r in range(5):
+            dt = 0.02 / 2**r
+            path = sample_wiener_path(noise, round(1.0 / dt), dt, seed=0)
+            final, _ = evolve(ComplexField(q + 0j), integrator, model, SchemeParams(dt), grid, path, noise)
+            errors.append(l2_error(final.values, np.exp(1j * final.time) * q, grid))
+        orders = [math.log2(errors[r] / errors[r + 1]) for r in range(4)]
+        assert all(abs(measured - order) <= 0.1 for measured in orders), (errors, orders)
