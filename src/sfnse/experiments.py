@@ -10,7 +10,9 @@ writes them.
 Monte Carlo paths are keyed by (master seed, path index), run one after
 another in path order, one function call each so that a path's tables go
 before the next is drawn, and aggregated in that order, so the same config
-and seed give the same numbers bit for bit.
+and seed give the same numbers bit for bit.  A convergence path runs in
+windows of 16 coarsest-level steps, so what it holds does not grow with the
+horizon.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .config import RunConfig
 from .diagnostics import energy, l2_error, mass
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
-from .errors import DomainError, ValidationError
-from .noise import MAX_TABLE_ENTRIES, NoiseModel, WienerPath, _check_increment_table
+from .errors import DomainError, NonConvergence, ValidationError
+from .noise import _FIELD_ROWS, MAX_TABLE_ENTRIES, NoiseModel, WienerPath, _check_increment_table
 from .noise import build_noise_model, coarsen_path, sample_wiener_path
 from .spectral import ComplexField, GridSpec, build_grid
 
@@ -125,29 +127,45 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
 def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine_steps: int) -> np.ndarray:
     """Max-in-time errors of every test level against the reference, one path.
 
-    Each level steps at fine_dt times its coarsening factor; only the reference trajectory is kept.
+    Each level steps at fine_dt times its coarsening factor.  The reference and
+    every level run in windows of ``_FIELD_ROWS`` coarsest-level steps, each
+    trajectory carrying its final state into the next window, so only one
+    window's reference states are kept whatever the horizon.
     """
     grid, noise, fine = _path(config, fine_steps, fine_dt, path_seed(config.noise_seed, index))
     model = ModelParams(config.alpha, config.lam, config.sigma)
     levels = config.converge_levels
     ref = config.converge_ref_level
-    initial = sech_carrier_initial(grid)
 
-    def run(path: WienerPath, observer: Observer) -> list:
+    def run(field: ComplexField, path: WienerPath, offset: int, observer: Observer) -> tuple[ComplexField, list]:
         scheme = SchemeParams(path.dt, config.fp_tol, config.fp_max_iter)
-        _, (series,) = evolve(initial, "splitting", model, scheme, grid, path, noise, [observer])
-        return series
+        try:
+            final, (series,) = evolve(field, "splitting", model, scheme, grid, path, noise, [observer])
+        except NonConvergence as exc:
+            exc.step += offset  # the trajectory's own step, not the window's
+            raise
+        return final, series
 
-    # reference states stored on the finest test level's time grid, which
-    # contains every coarser level's grid
-    ref_states = run(fine, Observer(2 ** (ref - (levels - 1)), lambda n, t, v: v))
+    def window_errors(fields: list[ComplexField], start: int, stop: int) -> np.ndarray:
+        # fine steps start..stop-1, a whole number of every level's 16-row field
+        # blocks; fields holds each level's state at start, the reference's last,
+        # and is moved on to stop
+        rows = WienerPath(fine.dt, fine.increments[start:stop])
+        # reference states stored on the finest test level's time grid, which
+        # contains every coarser level's grid
+        fields[-1], ref_states = run(fields[-1], rows, start, Observer(2 ** (ref - (levels - 1)), lambda n, t, v: v))
+        errors = np.empty(levels)
+        for r in range(levels):
+            factor = 2 ** (ref - r)
+            refs = iter(ref_states[:: 2 ** ((levels - 1) - r)])  # level-r times on the stored reference grid
+            error = Observer(1, lambda n, t, v, refs=refs: l2_error(v, next(refs), grid))
+            fields[r], series = run(fields[r], coarsen_path(rows, factor), start // factor, error)
+            errors[r] = max(series)
+        return errors
 
-    errors = np.empty(levels)
-    for r in range(levels):
-        refs = iter(ref_states[:: 2 ** ((levels - 1) - r)])  # level-r times on the stored reference grid
-        error = Observer(1, lambda n, t, v, refs=refs: l2_error(v, next(refs), grid))
-        errors[r] = max(run(coarsen_path(fine, 2 ** (ref - r)), error))
-    return errors
+    fields = [sech_carrier_initial(grid)] * (levels + 1)
+    window = _FIELD_ROWS * 2**ref
+    return np.max([window_errors(fields, start, start + window) for start in range(0, fine_steps, window)], axis=0)
 
 
 def run_convergence_study(config: RunConfig) -> list[tuple]:
@@ -155,7 +173,10 @@ def run_convergence_study(config: RunConfig) -> list[tuple]:
 
     For each path, the finest-level increments are sampled once and every
     coarser level is an exact block sum of them, so all levels and the
-    reference see the same Brownian path.  Returns one (dt, error,
+    reference see the same Brownian path.  A path runs in windows of
+    ``_FIELD_ROWS`` coarsest-level steps and keeps one window's reference
+    states; a window store above 256 MiB is refused, naming
+    ``converge.levels``, before any table is drawn.  Returns one (dt, error,
     ci_halfwidth, order) row per level, coarsest first: the error is the
     Monte Carlo mean over paths of the max-in-time discrete l2 distance to
     the reference run, sampled at the level's own step times; the
@@ -169,11 +190,12 @@ def run_convergence_study(config: RunConfig) -> list[tuple]:
     fine_dt = math.ldexp(config.converge_base_dt, -config.converge_ref_level)
     # the finest table is the largest: refuse it here, before any path runs
     fine_steps = _run_steps(config, fine_dt)
-    # a path keeps one complex state per finest-level step: at most a float table's 256 MiB, at twice the bytes an entry
-    stored = fine_steps // 2 ** (config.converge_ref_level - (levels - 1)) + 1
+    # a window keeps one complex state per finest-level step of its _FIELD_ROWS
+    # coarsest steps: at most a float table's 256 MiB, at twice the bytes an entry
+    stored = min(_FIELD_ROWS, fine_steps >> config.converge_ref_level) * 2 ** (levels - 1) + 1
     if stored * config.grid_n > MAX_TABLE_ENTRIES // 2:
-        message = f"T={config.horizon_t} needs {stored} reference states of N={config.grid_n} a path, above 256 MiB"
-        raise ValidationError("horizon.T", message)
+        message = f"{levels} levels keep {stored} reference states of N={config.grid_n} a window, above 256 MiB"
+        raise ValidationError("converge.levels", message)
     n_paths = config.converge_n_paths
     per_path = np.array([_convergence_path_errors(i, config, fine_dt, fine_steps) for i in range(n_paths)])
 

@@ -90,7 +90,7 @@ def _check_profile(profile: str) -> str:
 
 # cap on the steps x K increment table and on the K x N profile table: 256 MiB
 # of float64 each.  Both are built in place, so building one peaks at its own
-# size (sampling adds one _BLOCK of temporaries, about 2 MB)
+# size (sampling adds one _BLOCK of temporaries, under 1 MB)
 MAX_TABLE_ENTRIES = 2**25
 
 
@@ -167,10 +167,13 @@ _FAR_DEN = (
 
 
 # entries per pass of sample_wiener_path (raw words, uniforms, _ndtri_block),
-# so that the temporaries (4 x 256 KB) stay in L2 cache: on a Xeon with 2 MB
-# L2 per core this made a 128,000-entry table about 1.4x faster than a single
-# pass over the whole table, and a table costs its own size plus one block.
-_BLOCK = 32768
+# so that the temporaries (64 KB each) stay in cache and a table costs its own
+# size plus one block.  On a 2-vCPU Xeon (2 MB L2 per core, one BLAS thread)
+# a 128,000-entry table took 3.6 ms at 8192 with in-place uniforms against
+# 4.1 ms at 32768 without (medians of 10 alternated runs); 32768 had been about
+# 1.4x faster than one pass over the whole table.  tracemalloc put sampling a
+# 10^6-entry table at 0.4 MB above the table, against 1.4 MB before
+_BLOCK = 8192
 
 
 def _horner(coefficients, r):
@@ -209,8 +212,13 @@ def _ndtri_block(u, out):
 def _uniform_from_raw(raw):
     # one raw 64-bit word -> uniform in (0, 1); fixed consumption keeps the
     # (step, mode) -> counter map invertible.  The top word rounds to u = 1.0,
-    # so u is clamped to the largest double below 1.
-    return np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
+    # so u is clamped to the largest double below 1.  The bytes of
+    # np.minimum((raw >> 11) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53), with raw
+    # shifted in place and the rest in one float array
+    raw >>= np.uint64(11)
+    u = np.multiply(raw, 2.0**-53)
+    u += 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> WienerPath:

@@ -292,18 +292,26 @@ class TestExitCodes:
             assert run_cli([command, "--quiet"], tmp_path, wide) == 1
             assert "noise.K" in capsys.readouterr().err
 
-    def test_converge_reference_store_guard(self, tmp_path, capsys, monkeypatch):
-        # one N = 4096 reference state per finest-level step (dt = 0.0025 here): 4097 at T = 10.24
-        # pass 2^24 complex entries and are refused before any table; 4093 at T = 10.23 are admitted
+    def test_converge_long_horizon_admitted(self, tmp_path, monkeypatch):
+        # a path keeps one window of reference states, 16 * 2^(levels - 1) + 1 = 65 here,
+        # so N = 4096 at T = 10.24 (4097 states of the whole horizon, past 2^24 entries) runs
+        monkeypatch.setattr(experiments, "_convergence_path_errors", lambda *args: np.ones(3))
+        wide = FAST_CONVERGE.replace("grid.N = 64", "grid.N = 4096")
+        assert run_cli(["converge", "--quiet"], tmp_path, wide.replace("horizon.T = 0.1", "horizon.T = 10.24")) == 0
+
+    def test_converge_window_store_guard(self, tmp_path, capsys, monkeypatch):
+        # at levels 9 a window of 16 coarsest steps keeps 16 * 2^8 + 1 = 4097 states of N = 4096,
+        # past 2^24 complex entries: refused before any table, naming the key; levels 8 keep 2049
         def no_table(*args, **kwargs):
             raise AssertionError("increment table allocated")
 
         monkeypatch.setattr(experiments, "sample_wiener_path", no_table)
-        wide = FAST_CONVERGE.replace("grid.N = 64", "grid.N = 4096")
-        assert run_cli(["converge", "--quiet"], tmp_path, wide.replace("horizon.T = 0.1", "horizon.T = 10.24")) == 1
-        assert capsys.readouterr().err.startswith("error: horizon.T: ")
-        monkeypatch.setattr(experiments, "_convergence_path_errors", lambda *args: np.ones(3))
-        assert run_cli(["converge", "--quiet"], tmp_path, wide.replace("horizon.T = 0.1", "horizon.T = 10.23")) == 0
+        wide = FAST_CONVERGE.replace("grid.N = 64", "grid.N = 4096").replace("horizon.T = 0.1", "horizon.T = 0.16")
+        deep = wide.replace("converge.ref_level = 4", "converge.ref_level = 9")
+        assert run_cli(["converge", "--quiet"], tmp_path, deep.replace("converge.levels = 3", "converge.levels = 9")) == 1
+        assert capsys.readouterr().err.startswith("error: converge.levels: 9 levels keep 4097 reference states")
+        monkeypatch.setattr(experiments, "_convergence_path_errors", lambda *args: np.ones(8))
+        assert run_cli(["converge", "--quiet"], tmp_path, deep.replace("converge.levels = 3", "converge.levels = 8")) == 0
 
     def test_refused_config_builds_nothing(self, tmp_path, capsys, monkeypatch):
         def no_build(*args, **kwargs):

@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfnse import experiments
+from sfnse import dynamics, experiments
 from sfnse.cli import main
 from sfnse.config import parse_config
 from sfnse.diagnostics import l2_error
 from sfnse.dynamics import ModelParams, Observer, SchemeParams, evolve
-from sfnse.errors import ValidationError
+from sfnse.errors import NonConvergence, ValidationError
 from sfnse.experiments import (
     _run_steps,
     path_seed,
@@ -25,8 +25,7 @@ from sfnse.output import read_snapshot
 from sfnse.spectral import build_grid
 
 
-def tiny_convergence_config(**overrides):
-    text = """
+TINY_CONVERGENCE = """
 grid.a = 0
 grid.b = 40
 grid.N = 64
@@ -42,7 +41,10 @@ converge.n_paths = 6
 noise.K = 20
 noise.seed = 4242
 """
-    config = parse_config(text)
+
+
+def tiny_convergence_config(**overrides):
+    config = parse_config(TINY_CONVERGENCE)
     from dataclasses import replace
 
     return replace(config, **overrides) if overrides else config
@@ -152,11 +154,48 @@ class TestConvergence:
         mean_order = float(np.mean([row[3] for row in rows[:-1]]))
         assert 0.85 <= mean_order <= 1.45, f"mean order {mean_order}"
 
-    @pytest.mark.parametrize("levels, ref_level", [(3, 5), (3, 3)])  # reference strides 4 and 1
-    def test_streamed_errors_match_stored_trajectories_bit_for_bit(self, levels, ref_level):
-        config = tiny_convergence_config(converge_levels=levels, converge_ref_level=ref_level)
+    @pytest.mark.parametrize(
+        "levels, ref_level, horizon",
+        [
+            (3, 5, 0.1),  # reference stride 4, one window of 10 coarsest steps
+            (3, 3, 0.1),  # reference stride 1
+            # windows of 16 + 16 + 8 and 16 + 16 + 1 coarsest steps; the last
+            # level-0 window of 0.33 is 1 row, whose field is the row with itself
+            (3, 5, 0.4),
+            (3, 5, 0.33),
+            (5, 5, 0.4),
+            (5, 5, 0.33),
+        ],
+        ids=["3-5", "3-3", "3-5-T0.4", "3-5-T0.33", "5-5-T0.4", "5-5-T0.33"],
+    )
+    def test_streamed_errors_match_stored_trajectories_bit_for_bit(self, levels, ref_level, horizon):
+        config = tiny_convergence_config(converge_levels=levels, converge_ref_level=ref_level, horizon_t=horizon)
         rows = run_convergence_study(config)
         assert tuple(row[1] for row in rows) == stored_trajectory_errors(config)
+
+    def test_failure_in_a_later_window_names_the_trajectory_step(self, tmp_path, capsys, monkeypatch):
+        # at T = 0.4 the reference runs in windows of 512 steps of 0.01 / 2^5:
+        # its 601st step is step 600 of the path, in its second window
+        fine_dt = 0.01 / 2**5
+        splitting = dynamics._STEPPERS["splitting"]
+        calls = []
+
+        def failing(v, dW, model, scheme, grid):
+            if scheme.dt == fine_dt:  # the reference alone steps at fine_dt
+                calls.append(None)
+                if len(calls) == 601:
+                    raise NonConvergence("injected", iterations=1, residual=1.0)
+            return splitting(v, dW, model, scheme, grid)
+
+        monkeypatch.setitem(dynamics._STEPPERS, "splitting", failing)
+        with pytest.raises(NonConvergence) as info:
+            run_convergence_study(tiny_convergence_config(horizon_t=0.4))
+        assert info.value.step == 600
+        calls.clear()
+        config = tmp_path / "converge.cfg"
+        config.write_text(TINY_CONVERGENCE.replace("horizon.T = 0.1", "horizon.T = 0.4"))
+        assert main(["converge", "--quiet", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "numerical failure at step 600: injected" in capsys.readouterr().err
 
     def test_report_reproducible(self):
         a = run_convergence_study(tiny_convergence_config())

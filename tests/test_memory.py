@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from sfnse.cli import main
+from sfnse.config import parse_config
 from sfnse.errors import DomainError
+from sfnse.experiments import run_convergence_study
 from sfnse.noise import _FIELD_ROWS, MAX_TABLE_ENTRIES, _check_increment_table, _check_profile_table
 from sfnse.noise import build_noise_model, coarsen_path, increment_field, sample_wiener_path
 from sfnse.output import read_snapshot
@@ -113,3 +115,19 @@ def test_evolve_peak_does_not_grow_with_its_snapshots(tmp_path):
     assert peak < 0.5 * snapshots * n * np.dtype(np.complex128).itemsize
     _, last = read_snapshot(written[-1])
     assert np.all(np.isfinite(last.values))
+
+
+def test_converge_reference_store_does_not_grow_with_the_horizon():
+    # a path keeps one window of 16 coarsest steps of reference states: 257 of
+    # N = 512 at levels 5, at T = 0.16 (one window) and T = 0.64 (four) alike.
+    # Storing the whole trajectory held 768 more of them (6.3 MB) at T = 0.64
+    def path_peak(horizon):
+        text = f"grid.N = 512\nnoise.K = 10\nhorizon.T = {horizon}\nconverge.levels = 5\nconverge.n_paths = 1\n"
+        config = parse_config(text)
+        peak, _ = traced_peak(lambda: run_convergence_study(config))
+        fine_steps = round(horizon / config.converge_base_dt) * 2**config.converge_ref_level
+        return peak, fine_steps * config.noise_k * np.dtype(np.float64).itemsize
+
+    path_peak(0.16)  # a first run also fills the caches that later runs share
+    (short, short_table), (long, long_table) = path_peak(0.16), path_peak(0.64)
+    assert long - short < (long_table - short_table) + 1 * MB

@@ -28,9 +28,10 @@ def philox_words(seed, count):
 
 
 def normals(words):
-    # the normal deviates of raw words, all of them in one pass
+    # the normal deviates of raw words, all of them in one pass (on a copy:
+    # _uniform_from_raw shifts the words it is given in place)
     z = np.empty(words.size)
-    _ndtri_block(_uniform_from_raw(words), z)
+    _ndtri_block(_uniform_from_raw(words.copy()), z)
     return z
 
 
@@ -63,6 +64,22 @@ class TestNoiseModel:
         whole = {"sin": np.sin(np.pi * l * x) / l, "unit": np.sin(np.pi * l * x)}
         for profile, expected in whole.items():
             assert np.array_equal(build_noise_model(K, grid, profile=profile).mode_profiles, expected)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 40.0), (-20.0, 20.0)])
+    def test_modes_the_reference_grids_resolve(self, a, b):
+        # h = 0.1: mode l sits at DFT bin 20 l mod 400, so the 100 modes fold onto 9
+        # bins and every l = 0 mod 10 vanishes at the nodes, to the roundoff of
+        # pi l x; N = 4096 resolves all 100.  The tolerance is explicit:
+        # np.linalg.matrix_rank's default reads 36 and 25 for "unit" from roundoff
+        for profile, vanished in (("sin", 3e-14), ("unit", 3e-12)):
+            coarse = build_noise_model(100, build_grid(a, b, 400), profile=profile).mode_profiles
+            s = np.linalg.svd(coarse, compute_uv=False)
+            assert np.count_nonzero(s > 1e-10 * s[0]) == 9
+            assert s[9] <= 4e-13 * s[0]
+            assert np.abs(coarse[9::10]).max() <= vanished
+            fine = build_noise_model(100, build_grid(a, b, 4096), profile=profile).mode_profiles
+            s = np.linalg.svd(fine, compute_uv=False)
+            assert np.count_nonzero(s > 1e-10 * s[0]) == 100
 
     def test_zero_profile(self, grid):
         model = NoiseModel(0.5, np.zeros((1, 400)))
@@ -167,6 +184,10 @@ class TestInverseNormal:
         want = ndtri(_uniforms(words))
         assert np.all(np.isfinite(want))
         assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+    def test_in_place_uniforms_keep_the_expression_bytes(self):
+        words = np.concatenate([philox_words(7, 10**5), self.EXTREME_WORDS])
+        assert _uniform_from_raw(words.copy()).tobytes() == _uniforms(words).tobytes()
 
     def test_extreme_words_finite_with_opposite_signs(self):
         low, high = normals(np.array([0, 2**64 - 1], dtype=np.uint64))
