@@ -119,7 +119,7 @@ class RunConfig:
     lam: float = _setting("model.lambda", 1.0, "nonlinearity sign: +1 defocusing, -1 focusing")
     sigma: float = _setting("model.sigma", 1.0, "nonlinearity power", _check_not_negative)
     epsilon: float = _setting("model.epsilon", 0.01, "noise amplitude", _check_not_negative)
-    integrator: str = _setting("scheme.integrator", "midpoint", "midpoint | splitting", _stepper)
+    integrator: str = _setting("scheme.integrator", "midpoint", "midpoint | splitting; read by evolve only", _stepper)
     dt: float = _setting("scheme.dt", 0.01, "time step", _check_above_zero)
     fp_tol: float = _setting(
         "scheme.fp_tol", 1e-12, "implicit-solver residual tolerance (discrete l2)", _check_above_zero

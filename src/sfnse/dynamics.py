@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .noise import NoiseModel, WienerPath, _field_block, increment_field
+from .noise import NoiseModel, WienerPath, increment_field
 from .spectral import ComplexField, GridSpec, _check_alpha, _fft, _field_values, _frac_multiplier, _ifft
 from .spectral import _check_above_zero, _check_at_least, _check_not_negative, _is_real
 
@@ -285,7 +285,9 @@ def evolve(
     and the path row.  Observers fire on the initial state and after every
     stride-th step, each called as ``fn(step, time, state)``; ``records[i]``
     lists what ``observers[i].fn`` returned, in step order.  Step failures
-    are re-raised with the failing step index attached.
+    are re-raised with the failing step index attached.  A path whose dt is
+    not the scheme's, or a noise model sampled on another N than ``grid``,
+    is refused before the first step.
 
     The steps and the observers see plain length-N arrays.  The one
     ``ComplexField`` built is the returned final state, which checks it once.
@@ -293,23 +295,20 @@ def evolve(
     step_fn = _stepper(integrator)
     if not math.isclose(path.dt, scheme.dt, rel_tol=1e-12, abs_tol=0.0):
         raise DomainError(f"path dt {path.dt} does not match scheme dt {scheme.dt}")
+    if noise.mode_profiles.shape[1] != grid.N:
+        raise DomainError(f"noise model sampled at N={noise.mode_profiles.shape[1]}, grid has N={grid.N}")
 
     v, t = initial.values, initial.time
     records = [[obs.fn(0, t, v)] for obs in observers]
-    try:
-        for n in range(path.steps):
-            dW = increment_field(path, n, noise, grid)
-            try:
-                v = step_fn(v, dW, model, scheme, grid)
-            except NonConvergence as exc:
-                exc.step = n
-                raise
-            t = t + scheme.dt
-            for obs, record in zip(observers, records):
-                if (n + 1) % obs.stride == 0:
-                    record.append(obs.fn(n + 1, t, v))
-    except BaseException:
-        # a run cut short leaves its block cached, and the block's key holds the path
-        _field_block.cache_clear()
-        raise
+    for n in range(path.steps):
+        dW = increment_field(path, n, noise)
+        try:
+            v = step_fn(v, dW, model, scheme, grid)
+        except NonConvergence as exc:
+            exc.step = n
+            raise
+        t = t + scheme.dt
+        for obs, record in zip(observers, records):
+            if (n + 1) % obs.stride == 0:
+                record.append(obs.fn(n + 1, t, v))
     return ComplexField(v, time=t), records

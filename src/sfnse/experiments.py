@@ -27,8 +27,8 @@ from .diagnostics import energy, l2_error, mass
 from .dynamics import ModelParams, Observer, SchemeParams, evolve
 from .errors import DomainError, NonConvergence, ValidationError
 from .noise import _FIELD_ROWS, MAX_TABLE_ENTRIES, NoiseModel, WienerPath, _check_increment_table
-from .noise import build_noise_model, coarsen_path, sample_wiener_path
-from .spectral import ComplexField, GridSpec, build_grid
+from .noise import _check_philox_seed, build_noise_model, coarsen_path, sample_wiener_path
+from .spectral import ComplexField, GridSpec, _check_at_least, build_grid
 
 
 def sech_carrier_initial(grid: GridSpec) -> ComplexField:
@@ -44,8 +44,9 @@ def sech_carrier_initial(grid: GridSpec) -> ComplexField:
 
 
 def path_seed(master_seed: int, index: int) -> int:
-    """Stable per-path seed derived from the master seed and path index."""
-    return int(np.random.SeedSequence(entropy=[int(master_seed), int(index)]).generate_state(1, np.uint64)[0])
+    """Stable per-path seed of the master seed (a 64-bit Philox key) and path index (>= 0), neither truncated."""
+    entropy = [_check_philox_seed(master_seed), _check_at_least(index, 0, "path index")]
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
 
 
 def steps_for_horizon(span: float, dt: float, key: str) -> int:

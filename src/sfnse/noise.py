@@ -18,8 +18,7 @@ relative 1.1e-15 at most.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +53,13 @@ class WienerPath:
 
     Each entry is Normal(0, dt).  Regenerating with the same seed reproduces
     the table bit for bit.  A path compares and hashes by identity.
+    ``_fields`` is ``increment_field``'s memo of the last block of noise
+    fields it served, ``[model, s, block]`` with s the block's first step.
     """
 
     dt: float
     increments: np.ndarray
+    _fields: list = field(default_factory=lambda: [None, None, None], init=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -285,13 +287,10 @@ def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
 _FIELD_ROWS = 16
 
 
-@lru_cache(maxsize=1)
 def _field_block(path: WienerPath, model: NoiseModel, s: int) -> np.ndarray:
-    # the fields of steps s.. up to s + _FIELD_ROWS - 1, dropped by
-    # increment_field once its last row is served.  The key holds path and
-    # model, so their ids are not reused while the entry lives.  A 1-row product
-    # would take the GEMV kernel, whose last bits differ from a GEMM row's, so a
-    # 1-row block is computed as the last 2 rows (the row twice on a 1-step path)
+    # the fields of steps s.. up to s + _FIELD_ROWS - 1.  A 1-row product would
+    # take the GEMV kernel, whose last bits differ from a GEMM row's, so a 1-row
+    # block is computed as the last 2 rows (the row twice on a 1-step path)
     inc = path.increments
     rows = inc[s : s + _FIELD_ROWS]
     lead = 0
@@ -302,35 +301,28 @@ def _field_block(path: WienerPath, model: NoiseModel, s: int) -> np.ndarray:
     return block[lead:]
 
 
-def increment_field(path: WienerPath, n: int, model: NoiseModel, grid: GridSpec) -> np.ndarray:
+def increment_field(path: WienerPath, n: int, model: NoiseModel) -> np.ndarray:
     """Spatial noise increment over step n: epsilon * sum_l profile_l(x) * db_l[n].
 
     The field is row n - s of ``epsilon * (path.increments[s:e] @ model.mode_profiles)``,
     with s = n - n % 16 and e = min(s + 16, steps); a block of one row is
     widened to the path's last 2 rows (s = steps - 2), or to the row twice on a
-    1-step path.  The product of one block is kept for the next call until
-    its last row is asked for, so stepping through a path costs one matrix
-    product per 16 steps and holds nothing after its last step.  On one
-    numpy and BLAS build, row n of a product of 2 to 128 rows has the same
-    bytes whatever the other rows, so the field does not depend on the order
-    of the calls.  The returned array is the caller's own.
+    1-step path.  The path keeps its last block until a call asks for another
+    block or model, so stepping through it costs one matrix product per 16
+    steps, paths stepped in turn keep their own blocks, and a block goes
+    with its path.  On one numpy and BLAS build, row n of a product of 2 to
+    128 rows has the same bytes whatever the other rows, so the field does
+    not depend on the order of the calls.  The returned array is the caller's own.
     """
     if type(n) is not int:  # the per-step int skips the check: it would cost a third of a field
         n = _check_integer(n, "step index")
     if not 0 <= n < path.steps:
         raise IndexError(f"step index {n} outside 0..{path.steps - 1}")
-    if path.increments.shape[1] != model.K:
-        raise DomainError(
-            f"path carries {path.increments.shape[1]} modes, model has K={model.K}"
-        )
-    if model.mode_profiles.shape[1] != grid.N:
-        raise DomainError(
-            f"noise model sampled at N={model.mode_profiles.shape[1]}, grid has N={grid.N}"
-        )
     s = n - n % _FIELD_ROWS
-    block = _field_block(path, model, s)
-    if n - s == block.shape[0] - 1:
-        # the block's last row: drop the entry now, so that the next block is
-        # not built beside it and no path or model outlives its last step
-        _field_block.cache_clear()
-    return block[n - s].copy()
+    memo = path._fields
+    if memo[0] is not model or memo[1] != s:
+        if path.increments.shape[1] != model.K:
+            raise DomainError(f"path carries {path.increments.shape[1]} modes, model has K={model.K}")
+        memo[:] = None, None, None  # the old block goes before the next is built
+        memo[:] = model, s, _field_block(path, model, s)
+    return memo[2][n - s].copy()

@@ -50,7 +50,8 @@ class GridSpec:
 
     The right endpoint is excluded (periodic identification).  ``h`` is the
     node spacing and ``mu`` the fundamental wavenumber 2*pi/(b - a); both are
-    derived in ``__post_init__``.
+    derived in ``__post_init__``, which also stores a and b as floats and
+    refuses a bound that is not a finite real (``float()`` would take "0" and True).
     """
 
     a: float
@@ -60,6 +61,11 @@ class GridSpec:
     mu: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("a", "b"):
+            bound = getattr(self, name)
+            if not _is_real(bound):
+                raise DomainError(f"grid bound {name} must be a finite real, got {bound!r}")
+            object.__setattr__(self, name, float(bound))
         if not (self.b > self.a and np.isfinite(self.b - self.a)):
             raise DomainError(f"grid needs finite a < b, got [{self.a}, {self.b})")
         _check_grid_n(self.N)
@@ -123,7 +129,7 @@ def _check_not_negative(value, name: str = "value") -> float:
 
 def build_grid(a: float, b: float, N: int) -> GridSpec:
     """Construct a periodic grid on [a, b) with N nodes."""
-    return GridSpec(float(a), float(b), _check_integer(N, "grid N"))
+    return GridSpec(a, b, _check_integer(N, "grid N"))
 
 
 @dataclass(frozen=True)

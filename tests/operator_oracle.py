@@ -28,7 +28,9 @@ every intermediate a new array, with ``np.fft`` and the complex ``np.exp``.
 The package's kernel works in place on one per-call array and builds its
 phase as cos + i sin, and must give the same bytes wherever the build's
 float64 cos/sin round as its complex exp does.  ``h_alpha_norm`` is the
-squared H^alpha norm that the existence checks follow in time.
+squared H^alpha norm that the existence checks follow in time, and
+``fourier_pad`` carries a state onto a finer grid of the same domain, so
+that runs at two N can be compared node by node.
 
 ``ground_state`` is the positive solution Q of (-Delta)^alpha Q + Q =
 |Q|^(2 sigma) Q on the grid.  With lam = -1 and no noise, u(t) = e^{it} Q
@@ -150,6 +152,23 @@ def h_alpha_norm(v, grid, alpha):
     weight = 1.0 + np.abs(_wavenumbers(grid.N, grid.mu)) ** (2.0 * alpha)
     return float((grid.b - grid.a) * np.sum(weight * np.abs(coefficients) ** 2))
 
+
+def fourier_pad(v, M):
+    """The trigonometric interpolant of the length-N array v at the M >= N nodes of the same [a, b).
+
+    The coefficients of k = -N/2+1..N/2-1 keep their wavenumbers and the rest
+    are zero, but for the Nyquist coefficient, which is split in half between
+    +-N/2, so a real v pads to a real array.  It runs on ``np.fft``.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    N, half = v.size, v.size // 2
+    coefficients = np.fft.fft(v) / N
+    padded = np.zeros(M, dtype=np.complex128)
+    padded[:half] = coefficients[:half]
+    padded[M - half :] = coefficients[half:]
+    if M > N:
+        padded[half] = padded[M - half] = coefficients[half] / 2.0
+    return np.fft.ifft(padded) * M
 
 def ground_state(grid, alpha, sigma, tol=1e-14, max_iter=200):
     """Q > 0 with (-Delta)^alpha Q + Q = |Q|^(2 sigma) Q on the grid, by Petviashvili's iteration.

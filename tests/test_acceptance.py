@@ -137,7 +137,7 @@ def test_criterion_3_splitting_mass():
     path4 = sample_wiener_path(noise4, 200, scheme.dt, seed=654)
     state = sech_carrier_initial(grid4).values
     for n in range(200):
-        nxt = splitting_step(state, increment_field(path4, n, noise4, grid4), model, scheme, grid4)
+        nxt = splitting_step(state, increment_field(path4, n, noise4), model, scheme, grid4)
         drift = abs(mass(nxt, grid4) ** 2 - mass(state, grid4) ** 2)
         assert drift <= 1e-13 * mass(state, grid4) ** 2
         state = nxt
@@ -190,13 +190,13 @@ def test_criterion_5_symplectic_defect():
                 # the one-step map at each of the first 5 states of a trajectory
                 state = initial.values
                 for n in range(5):
-                    dW = increment_field(path, n, noise, grid)
+                    dW = increment_field(path, n, noise)
                     defect = symplectic_defect(stepper, state, dW, model, scheme, grid)
                     where = f"alpha={alpha}, sigma={sigma}, n={n}"
                     assert defect <= bound, f"{stepper.__name__} defect {defect:.3e} ({where})"
                     state = stepper(state, dW, model, scheme, grid)
                     checks += 1
-            dW = increment_field(path, 0, noise, grid)
+            dW = increment_field(path, 0, noise)
             control = symplectic_defect(explicit_euler_step, initial.values, dW, model, scheme, grid)
             assert control > 1e-3, f"explicit Euler defect {control:.3e} (alpha={alpha}, sigma={sigma})"
     assert checks == 40
@@ -216,7 +216,7 @@ def test_criterion_5_symplectic_defect():
 
     def euler_flow(v, dW, model, scheme, grid):
         for n in range(path.steps):
-            v = explicit_euler_step(v, increment_field(path, n, noise, grid), model, scheme, grid)
+            v = explicit_euler_step(v, increment_field(path, n, noise), model, scheme, grid)
         return v
 
     for integrator, bound in (("midpoint", 1e-5), ("splitting", 1e-9)):

@@ -191,7 +191,7 @@ class TestMidpoint:
         path = sample_wiener_path(noise, 20, scheme.dt, seed=23)
         state = random_state(grid, 4, scale=0.4)
         for n in range(20):
-            dW = increment_field(path, n, noise, grid)
+            dW = increment_field(path, n, noise)
             nxt = midpoint_step(state, dW, model, scheme, grid)
             drift = abs(mass2(nxt, grid) - mass2(state, grid))
             assert drift <= 100 * scheme.fp_tol
@@ -243,7 +243,7 @@ class TestMidpoint:
         path = sample_wiener_path(noise, 5, scheme.dt, seed=31)
         state = random_state(grid, 32, scale=0.4)
         for n in range(path.steps):
-            dW = increment_field(path, n, noise, grid)
+            dW = increment_field(path, n, noise)
             assert (np.max(np.abs(dW)) > 0.0) == (epsilon > 0.0)
             nxt = midpoint_step(state, dW, model, scheme, grid)
             assert midpoint_relation_residual(state, state, dW, model, scheme.dt, grid) > 1e3 * scheme.fp_tol
@@ -262,7 +262,7 @@ class TestMidpoint:
         path = sample_wiener_path(noise, 5, scheme.dt, path_seed(config.noise_seed, 0))
         state = sech_carrier_initial(grid).values
         for n in range(path.steps):
-            dW = increment_field(path, n, noise, grid)
+            dW = increment_field(path, n, noise)
             expected, residuals = iterate_residual_midpoint(state, dW, model, scheme, grid)
             stalled = []
             for cap in range(1, scheme.fp_max_iter + 1):
@@ -451,6 +451,16 @@ class TestEvolve:
         with pytest.raises(DomainError, match="path dt 0.01 does not match scheme dt 0.02"):
             evolve(ComplexField(random_state(grid, 19)), "midpoint", model, SchemeParams(dt=0.02), grid, path, noise)
 
+    def test_noise_grid_mismatch_rejected(self):
+        # a noise model sampled on another grid is refused at entry, before any observer fires
+        _, model, scheme, noise, path = self._setup()
+        other = small_grid(8)
+        fired = []
+        observer = Observer(1, lambda n, t, v: fired.append(n))
+        with pytest.raises(DomainError, match="noise model sampled at N=16, grid has N=8"):
+            evolve(ComplexField(random_state(other, 19)), "midpoint", model, scheme, other, path, noise, [observer])
+        assert fired == []
+
     def test_unknown_integrator(self):
         grid, model, scheme, noise, path = self._setup()
         for integrator in ("leapfrog", splitting_step, ["midpoint"]):
@@ -463,7 +473,7 @@ class TestEvolve:
         v, t = initial.values, initial.time
         expected = [v]
         for n in range(path.steps):
-            v = splitting_step(v, increment_field(path, n, noise, grid), model, scheme, grid)
+            v = splitting_step(v, increment_field(path, n, noise), model, scheme, grid)
             t = t + scheme.dt
             expected.append(v)
         built = []
@@ -518,4 +528,4 @@ class TestEvolve:
 
             monkeypatch.setitem(dynamics._STEPPERS, integrator, capture)
             evolve(ComplexField(random_state(grid, 22)), integrator, model, scheme, grid, path, noise)
-            assert seen == [increment_field(path, n, noise, grid).tobytes() for n in range(path.steps)]
+            assert seen == [increment_field(path, n, noise).tobytes() for n in range(path.steps)]

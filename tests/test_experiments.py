@@ -10,7 +10,7 @@ from sfnse.cli import main
 from sfnse.config import parse_config
 from sfnse.diagnostics import l2_error
 from sfnse.dynamics import ModelParams, Observer, SchemeParams, evolve
-from sfnse.errors import NonConvergence, ValidationError
+from sfnse.errors import DomainError, NonConvergence, ValidationError
 from sfnse.experiments import (
     _run_steps,
     path_seed,
@@ -317,7 +317,26 @@ def test_path_seed_is_stable_and_distinct():
     assert len(set(seeds)) == 8
     assert seeds == [path_seed(123456789, i) for i in range(8)]
     assert path_seed(1, 0) != path_seed(2, 0)
+    assert path_seed(np.uint64(2**64 - 1), np.int64(3)) == path_seed(2**64 - 1, 3)
 
+
+
+@pytest.mark.parametrize(
+    "seed, index, message",
+    [
+        (1.5, 0, "seed must be an integer"),
+        (True, 0, "seed must be an integer"),
+        (-1, 0, "seed must be >= 0"),
+        (2**64, 0, "seed must fit in 64 bits"),
+        (1, 2.7, "path index must be an integer"),
+        (1, False, "path index must be an integer"),
+        (1, -1, "path index must be >= 0"),
+    ],
+)
+def test_path_seed_refuses_what_it_would_truncate(seed, index, message):
+    # int() would alias path_seed(1.5, 0) and path_seed(True, 0) with path_seed(1, 0)
+    with pytest.raises(DomainError, match=message):
+        path_seed(seed, index)
 
 def test_wide_domain_initial_state_is_quiet_and_exactly_zero_far_out():
     # cosh overflows to inf past |x| = 710; the envelope there is 1/inf = 0, with no warning

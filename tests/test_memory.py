@@ -92,11 +92,20 @@ def test_field_blocks_peak_at_one_block():
 
     def fields():
         for n in range(path.steps):
-            increment_field(path, n, model, grid)
+            increment_field(path, n, model)
 
     peak, _ = traced_peak(fields)
     assert peak < _FIELD_ROWS * grid.N * 8 + 1 * MB
 
+
+def test_a_path_drops_its_block_before_it_builds_the_next():
+    # the block kept on the path goes before the next one is built; built
+    # beside it, the next block (2 MB at N = 16384) would add its whole size
+    grid = build_grid(0.0, 40.0, 16384)
+    model = build_noise_model(10, grid, epsilon=0.01)
+    path = sample_wiener_path(model, 2 * _FIELD_ROWS, 0.01, seed=6)
+    peak, _ = traced_peak(lambda: [increment_field(path, n, model) for n in (0, _FIELD_ROWS)])
+    assert peak < 1.5 * _FIELD_ROWS * grid.N * 8
 
 def test_evolve_peak_does_not_grow_with_its_snapshots(tmp_path):
     # 201 snapshots of N = 1024 are 3.2 MB of states; written as they fire,

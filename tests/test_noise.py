@@ -12,6 +12,7 @@ from sfnse.noise import (
     _FIELD_ROWS,
     NoiseModel,
     WienerPath,
+    _field_block,
     _ndtri_block,
     _uniform_from_raw,
     build_noise_model,
@@ -84,7 +85,7 @@ class TestNoiseModel:
     def test_zero_profile(self, grid):
         model = NoiseModel(0.5, np.zeros((1, 400)))
         path = sample_wiener_path(model, 4, 0.1, seed=0)
-        assert np.all(increment_field(path, 0, model, grid) == 0.0)
+        assert np.all(increment_field(path, 0, model) == 0.0)
 
     def test_two_orthogonal_profiles(self):
         g = build_grid(0.0, 2.0 * np.pi, 16)
@@ -93,7 +94,7 @@ class TestNoiseModel:
         path = sample_wiener_path(model, 3, 0.1, seed=5)
         db = path.increments[2]
         expected = 0.5 * (db[0] * np.sin(x) + db[1] * np.cos(x))
-        assert np.allclose(increment_field(path, 2, model, g), expected, rtol=0, atol=1e-15)
+        assert np.allclose(increment_field(path, 2, model), expected, rtol=0, atol=1e-15)
 
     def test_rejects_bad_inputs(self, grid):
         with pytest.raises(DomainError):
@@ -252,19 +253,18 @@ class TestIncrementField:
     def test_epsilon_off(self, grid):
         model = build_noise_model(3, grid, epsilon=0.0)
         path = sample_wiener_path(model, 5, 0.1, seed=10)
-        assert np.all(increment_field(path, 2, model, grid) == 0.0)
+        assert np.all(increment_field(path, 2, model) == 0.0)
 
     def test_single_flat_mode(self):
-        g = build_grid(0.0, 1.0, 8)
         model = NoiseModel(0.25, np.ones((1, 8)))
         path = sample_wiener_path(model, 3, 0.5, seed=11)
         c = path.increments[1, 0]
-        assert np.allclose(increment_field(path, 1, model, g), 0.25 * c, atol=0)
+        assert np.allclose(increment_field(path, 1, model), 0.25 * c, atol=0)
 
     def test_matches_naive_double_loop(self, grid):
         model = build_noise_model(7, grid, epsilon=0.3)
         path = sample_wiener_path(model, 4, 0.05, seed=12)
-        fast = increment_field(path, 3, model, grid)
+        fast = increment_field(path, 3, model)
         slow = np.zeros(grid.N)
         for j in range(grid.N):
             for l in range(7):
@@ -276,15 +276,15 @@ class TestIncrementField:
         model = build_noise_model(5, grid, epsilon=0.1)
         path = sample_wiener_path(model, 8, 0.1, seed=13)
         coarse = coarsen_path(path, 2)
-        summed = increment_field(path, 2, model, grid) + increment_field(path, 3, model, grid)
-        merged = increment_field(coarse, 1, model, grid)
+        summed = increment_field(path, 2, model) + increment_field(path, 3, model)
+        merged = increment_field(coarse, 1, model)
         assert np.max(np.abs(summed - merged)) < 1e-15 * max(1.0, np.max(np.abs(merged)))
 
     def test_index_error(self, grid):
         model = build_noise_model(1, grid)
         path = sample_wiener_path(model, 3, 0.1, seed=14)
         with pytest.raises(IndexError):
-            increment_field(path, 3, model, grid)
+            increment_field(path, 3, model)
 
     @pytest.mark.parametrize("n", [2.0, np.float64(1.0), True, False])
     def test_non_integer_index_refused(self, grid, n):
@@ -292,20 +292,19 @@ class TestIncrementField:
         model = build_noise_model(1, grid)
         path = sample_wiener_path(model, 3, 0.1, seed=14)
         with pytest.raises(DomainError, match="step index must be an integer"):
-            increment_field(path, n, model, grid)
+            increment_field(path, n, model)
 
     def test_numpy_integer_index_accepted(self, grid):
         model = build_noise_model(2, grid)
         path = sample_wiener_path(model, 3, 0.1, seed=14)
-        assert np.array_equal(increment_field(path, np.int64(1), model, grid), increment_field(path, 1, model, grid))
+        assert np.array_equal(increment_field(path, np.int64(1), model), increment_field(path, 1, model))
 
-    def test_grid_mismatch(self, grid):
+
+    def test_mode_count_mismatch(self, grid):
         model = build_noise_model(2, grid)
-        other = build_grid(0.0, 1.0, 8)
-        path = sample_wiener_path(model, 3, 0.1, seed=15)
-        with pytest.raises(DomainError, match="noise model sampled at N=400, grid has N=8"):
-            increment_field(path, 0, model, other)
-
+        path = sample_wiener_path(build_noise_model(3, grid), 3, 0.1, seed=15)
+        with pytest.raises(DomainError, match="path carries 3 modes, model has K=2"):
+            increment_field(path, 0, model)
 
 def block_row(path, model, n):
     """Row n of epsilon * (inc[s:e] @ P) over the block of at least 2 rows that holds step n."""
@@ -333,14 +332,40 @@ class TestFieldBlocks:
         shuffled = np.random.default_rng(0).permutation(path.steps)
         for order in (range(path.steps), reversed(range(path.steps)), shuffled):
             for n in order:
-                assert increment_field(path, int(n), model, grid).tobytes() == expected[n].tobytes()
+                assert increment_field(path, int(n), model).tobytes() == expected[n].tobytes()
 
     def test_two_paths_interleaved(self, grid):
         model = build_noise_model(100, grid, epsilon=0.01)
         paths = [sample_wiener_path(model, 20, 0.01, seed=seed) for seed in (17, 18)]
         for n in range(20):
             for path in paths:
-                assert increment_field(path, n, model, grid).tobytes() == block_row(path, model, n).tobytes()
+                assert increment_field(path, n, model).tobytes() == block_row(path, model, n).tobytes()
+
+    def test_interleaved_paths_keep_their_own_blocks(self, grid, monkeypatch):
+        # each path holds its own block, so two paths stepped in turn build one
+        # block per 16 steps each: neither evicts the other's
+        model = build_noise_model(100, grid, epsilon=0.01)
+        steps = 3 * _FIELD_ROWS + 1
+        paths = [sample_wiener_path(model, steps, 0.01, seed=seed) for seed in (24, 25)]
+        built = []
+
+        def counted(path, model, s):
+            built.append((paths.index(path), s))
+            return _field_block(path, model, s)
+
+        monkeypatch.setattr("sfnse.noise._field_block", counted)
+        for n in range(steps):
+            for path in paths:
+                assert increment_field(path, n, model).tobytes() == block_row(path, model, n).tobytes()
+        assert built == [(i, s) for s in range(0, steps, _FIELD_ROWS) for i in range(2)]
+
+    def test_one_path_under_two_models(self, grid):
+        # the kept block belongs to one model: another model's call rebuilds it
+        models = [build_noise_model(100, grid, epsilon=eps, profile=p) for eps, p in ((0.01, "sin"), (0.02, "unit"))]
+        path = sample_wiener_path(models[0], 20, 0.01, seed=26)
+        for n in range(20):
+            for model in models:
+                assert increment_field(path, n, model).tobytes() == block_row(path, model, n).tobytes()
 
     def test_last_step_of_a_one_row_block(self, grid):
         # 33 steps: the block of step 32 would hold that row alone
@@ -348,30 +373,30 @@ class TestFieldBlocks:
         path = sample_wiener_path(model, 2 * _FIELD_ROWS + 1, 0.01, seed=19)
         last = path.steps - 1
         expected = (model.epsilon * (path.increments[last - 1 :] @ model.mode_profiles))[1]
-        cold = increment_field(path, last, model, grid)
-        increment_field(path, last - 1, model, grid)
-        assert cold.tobytes() == increment_field(path, last, model, grid).tobytes() == expected.tobytes()
+        cold = increment_field(path, last, model)
+        increment_field(path, last - 1, model)
+        assert cold.tobytes() == increment_field(path, last, model).tobytes() == expected.tobytes()
 
     def test_one_step_path(self, grid):
         model = build_noise_model(100, grid, epsilon=0.01)
         path = sample_wiener_path(model, 1, 0.01, seed=20)
-        assert increment_field(path, 0, model, grid).tobytes() == block_row(path, model, 0).tobytes()
+        assert increment_field(path, 0, model).tobytes() == block_row(path, model, 0).tobytes()
 
     def test_caller_owns_the_field(self, grid):
         # writing into a returned field must not reach the next call's value
         model = build_noise_model(10, grid, epsilon=0.01)
         path = sample_wiener_path(model, 8, 0.01, seed=21)
-        field = increment_field(path, 2, model, grid)
+        field = increment_field(path, 2, model)
         field[:] = 0.0
-        assert increment_field(path, 2, model, grid).tobytes() == block_row(path, model, 2).tobytes()
+        assert increment_field(path, 2, model).tobytes() == block_row(path, model, 2).tobytes()
 
     def test_no_path_outlives_its_last_step(self, grid):
-        # the cached block goes with its last row, so a path stepped to its end
-        # is freed with its last reference, not at the next path's first field
+        # the block lives on its path and nowhere else, so a path stepped to
+        # its end is freed with its last reference
         model = build_noise_model(10, grid, epsilon=0.01)
         path = sample_wiener_path(model, 2 * _FIELD_ROWS + 3, 0.01, seed=22)
         for n in range(path.steps):
-            increment_field(path, n, model, grid)
+            increment_field(path, n, model)
         alive = weakref.ref(path)
         del path
         assert alive() is None
@@ -385,8 +410,8 @@ class TestFieldBlocks:
         ids=["nonconvergence", "observer"],
     )
     def test_no_path_outlives_a_failed_run(self, grid, scheme, observers, error):
-        # a run that stops early never asks for its block's last row, so the
-        # cached block, keyed on the path, must go with the exception
+        # a run that stops early leaves its block on the path, and nothing
+        # else holds either once the exception is gone
         model = build_noise_model(10, grid, epsilon=0.01)
         path = sample_wiener_path(model, 20, 0.01, seed=23)
         initial = ComplexField(np.exp(1j * grid.nodes()))

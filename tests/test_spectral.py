@@ -3,7 +3,7 @@ import pytest
 
 from sfnse.dynamics import ModelParams, SchemeParams, midpoint_step, splitting_step
 from sfnse.errors import DomainError
-from sfnse.spectral import ComplexField, _fft, _frac_multiplier, _ifft, build_grid, transform
+from sfnse.spectral import ComplexField, GridSpec, _fft, _frac_multiplier, _ifft, build_grid, transform
 
 from operator_oracle import apply_frac_laplacian, apply_g, dense_operator, g_symbol
 
@@ -51,11 +51,22 @@ class TestGrid:
             (0.0, np.inf, 8),
             (-1e308, 1e308, 8),
             (0.0, 1e-320, 8),  # mu = 2 pi / 1e-320 overflows to inf
+            # a bound that is not a finite real: float() would take the first two
+            ("0", "40", 64),
+            (True, 40.0, 64),
+            (0.0, 1 + 0j, 8),
+            (None, 1.0, 8),
         ],
     )
     def test_rejects_bad_grids(self, args):
         with pytest.raises(DomainError):
             build_grid(*args)
+        with pytest.raises(DomainError):
+            GridSpec(*args)
+
+    def test_bounds_stored_as_floats(self):
+        g = build_grid(-20, np.int64(20), 8)
+        assert type(g.a) is float and type(g.b) is float and g == build_grid(-20.0, 20.0, 8)
 
 
 class TestComplexField:

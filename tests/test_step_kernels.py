@@ -16,6 +16,12 @@ Without noise and with lam = -1, u(t) = exp(i t) Q solves the nonlinear
 equation exactly, Q the grid's ground state (``ground_state`` in
 tests/operator_oracle.py), so both schemes' time errors are measured against
 it with no spatial error mixed in.
+
+The increment table of ``sample_wiener_path`` depends on K, dt and the seed
+only, so one table drives the same Brownian path at every N, and the final
+states of two grids differ by the spatial error alone (and the change of the
+time error with N).  ``fourier_pad`` (tests/operator_oracle.py) carries the
+coarse state onto the finest grid to compare them.
 """
 
 import itertools
@@ -31,7 +37,7 @@ from sfnse.experiments import sech_carrier_initial
 from sfnse.noise import NoiseModel, build_noise_model, coarsen_path, sample_wiener_path
 from sfnse.spectral import ComplexField, _frac_multiplier, build_grid
 
-from operator_oracle import apply_frac_laplacian, ground_state, reference_splitting_step
+from operator_oracle import apply_frac_laplacian, fourier_pad, ground_state, reference_splitting_step
 
 KERNELS = (midpoint_step, splitting_step)
 
@@ -201,3 +207,36 @@ class TestGroundStateSolution:
             errors.append(l2_error(final.values, np.exp(1j * final.time) * q, grid))
         orders = [math.log2(errors[r] / errors[r + 1]) for r in range(4)]
         assert all(abs(measured - order) <= 0.1 for measured in orders), (errors, orders)
+
+
+class TestSpatialError:
+    """The spatial error on one shared Brownian table, Fourier-padded onto N = 4096."""
+
+    def test_padding_is_exact_on_a_band_limited_state(self):
+        coarse, fine = build_grid(0.0, 40.0, 16), build_grid(0.0, 40.0, 64)
+
+        def state(x):
+            # wavenumber 8 is the coarse grid's Nyquist mode, split in half by the padding
+            return np.exp(3j * coarse.mu * x) + np.cos(8 * coarse.mu * x)
+
+        assert np.max(np.abs(fourier_pad(state(coarse.nodes()), fine.N) - state(fine.nodes()))) < 1e-14
+
+    def test_spatial_error_falls_as_n_grows(self):
+        # Table 2's model (splitting, alpha 0.75, focusing, sigma 0) on [0, 40)
+        # with K = 100 `sin` modes at eps 0.01, dt = 0.01/64, T = 0.4, seed 1.
+        # Measured: 2.535e-3, 1.470e-3 and 8.691e-4 at N = 400, 1024 and 2048
+        # against N = 4096, itself 5.6e-7 from N = 8192 (README, "Table 2 and
+        # the noise the grid resolves", gives the dt = 0.01/512 figures)
+        dt, steps, ns = 0.01 / 64, 2560, (400, 1024, 2048, 4096)
+        model, scheme = ModelParams(0.75, -1.0, 0.0), SchemeParams(dt)
+        path, finals = None, []
+        for n in ns:
+            grid = build_grid(0.0, 40.0, n)
+            noise = build_noise_model(100, grid, epsilon=0.01, profile="sin")
+            if path is None:  # the one table every N steps on
+                path = sample_wiener_path(noise, steps, dt, seed=1)
+            final, _ = evolve(sech_carrier_initial(grid), "splitting", model, scheme, grid, path, noise)
+            finals.append(final.values)
+        errors = [l2_error(fourier_pad(v, grid.N), finals[-1], grid) for v in finals[:-1]]  # on the N = 4096 grid
+        assert 2.0e-3 < errors[0] < 3.2e-3
+        assert errors[0] > 1.4 * errors[1] and errors[1] > 1.4 * errors[2]

@@ -104,7 +104,7 @@ KERNELS = {"midpoint": midpoint_step, "splitting": splitting_step}
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_one_step_equivariance(kernel, N, sigma, symmetry):
     grid, model, scheme, noise, path, initial = _setting(N, sigma)
-    dW = increment_field(path, 0, noise, grid)
+    dW = increment_field(path, 0, noise)
     assert equivariance_defect(KERNELS[kernel], symmetry, initial.values, dW, model, scheme, grid) < 1e-13
 
 
@@ -112,7 +112,7 @@ def test_one_step_equivariance(kernel, N, sigma, symmetry):
 @pytest.mark.parametrize("N", [64, 400])
 def test_midpoint_is_time_reversible(N, sigma):
     grid, model, scheme, noise, path, initial = _setting(N, sigma)
-    dW = increment_field(path, 0, noise, grid)
+    dW = increment_field(path, 0, noise)
     assert reversal_defect(midpoint_step, initial.values, dW, model, scheme, grid) < 1e-13
 
 
@@ -123,7 +123,7 @@ def test_lie_splitting_reversal_defect_has_order_one_and_a_half():
     defects = []
     for dt in dts:
         grid, model, scheme, noise, path, initial = _setting(400, 1.0, dt=dt)
-        dW = increment_field(path, 0, noise, grid)
+        dW = increment_field(path, 0, noise)
         defects.append(reversal_defect(splitting_step, initial.values, dW, model, scheme, grid))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert all(math.isfinite(d) and d > 1e-6 for d in defects)
