@@ -283,7 +283,8 @@ def evolve(
     ``integrator`` names the step, "midpoint" or "splitting"; each step
     calls it once, after building that step's increment field from ``noise``
     and the path row.  Observers fire on the initial state and after every
-    stride-th step, each called as ``fn(step, time, state)``; ``records[i]``
+    stride-th step, each called as ``fn(n, t, state)`` with model time
+    t = initial.time + n * dt, not a running sum of dt; ``records[i]``
     lists what ``observers[i].fn`` returned, in step order.  Step failures
     are re-raised with the failing step index attached.  A path whose dt is
     not the scheme's, or a noise model sampled on another N than ``grid``,
@@ -307,7 +308,7 @@ def evolve(
         except NonConvergence as exc:
             exc.step = n
             raise
-        t = t + scheme.dt
+        t = initial.time + (n + 1) * scheme.dt
         for obs, record in zip(observers, records):
             if (n + 1) % obs.stride == 0:
                 record.append(obs.fn(n + 1, t, v))

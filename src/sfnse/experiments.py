@@ -128,10 +128,12 @@ def run_mass_table(config: RunConfig) -> list[tuple[float, float, float]]:
 def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine_steps: int) -> np.ndarray:
     """Max-in-time errors of every test level against the reference, one path.
 
-    Each level steps at fine_dt times its coarsening factor.  The reference and
-    every level run in windows of ``_FIELD_ROWS`` coarsest-level steps, each
-    trajectory carrying its final state into the next window, so only one
-    window's reference states are kept whatever the horizon.
+    The reference and every level run in windows of ``_FIELD_ROWS``
+    coarsest-level steps, each trajectory carrying its final state into the
+    next window, so only one window's reference states are kept whatever the
+    horizon.  In a window, each level halves the next finer one, from the
+    reference rows down, and each test level takes every second of the
+    reference states the next finer one took.
     """
     grid, noise, fine = _path(config, fine_steps, fine_dt, path_seed(config.noise_seed, index))
     model = ModelParams(config.alpha, config.lam, config.sigma)
@@ -151,17 +153,18 @@ def _convergence_path_errors(index: int, config: RunConfig, fine_dt: float, fine
         # fine steps start..stop-1, a whole number of every level's 16-row field
         # blocks; fields holds each level's state at start, the reference's last,
         # and is moved on to stop
-        rows = WienerPath(fine.dt, fine.increments[start:stop])
+        path, offset = WienerPath(fine.dt, fine.increments[start:stop]), start
         # reference states stored on the finest test level's time grid, which
         # contains every coarser level's grid
-        fields[-1], ref_states = run(fields[-1], rows, start, Observer(2 ** (ref - (levels - 1)), lambda n, t, v: v))
+        fields[-1], ref_states = run(fields[-1], path, offset, Observer(2 ** (ref - (levels - 1)), lambda n, t, v: v))
         errors = np.empty(levels)
-        for r in range(levels):
-            factor = 2 ** (ref - r)
-            refs = iter(ref_states[:: 2 ** ((levels - 1) - r)])  # level-r times on the stored reference grid
-            error = Observer(1, lambda n, t, v, refs=refs: l2_error(v, next(refs), grid))
-            fields[r], series = run(fields[r], coarsen_path(rows, factor), start // factor, error)
-            errors[r] = max(series)
+        for r in reversed(range(ref)):  # level r halves level r + 1, the reference being level ref
+            path, offset = coarsen_path(path), offset // 2
+            if r < levels:  # a test level: ref_states holds its times
+                error = Observer(1, lambda n, t, v, refs=iter(ref_states): l2_error(v, next(refs), grid))
+                fields[r], series = run(fields[r], path, offset, error)
+                errors[r] = max(series)
+                ref_states = ref_states[::2]
         return errors
 
     fields = [sech_carrier_initial(grid)] * (levels + 1)
@@ -173,7 +176,7 @@ def run_convergence_study(config: RunConfig) -> list[tuple]:
     """Strong-convergence study of the splitting scheme on coupled noise paths.
 
     For each path, the finest-level increments are sampled once and every
-    coarser level is an exact block sum of them, so all levels and the
+    coarser level halves the next finer one, so all levels and the
     reference see the same Brownian path.  A path runs in windows of
     ``_FIELD_ROWS`` coarsest-level steps and keeps one window's reference
     states; a window store above 256 MiB is refused, naming

@@ -5,9 +5,9 @@ with independent scalar Brownian motions b_l.  An increment table is the raw
 stream of a counter-based generator (Philox) keyed by the path seed: entry
 (n, l) of a K-mode table is word n*K + l of that stream.  Paths are
 independent because their keys differ, so they can be sampled concurrently
-with no shared generator state, and the coarse paths of a refinement study
-are exact block sums of their fine table over a power-of-two number of rows
-(``coarsen_path``).
+with no shared generator state, and each coarser level of a refinement
+study halves the next finer one (``coarsen_path``): its rows are exact sums
+of fine row pairs.
 
 Each raw Philox word becomes a normal deviate through Wichura's algorithm AS241
 (PPND16, Appl. Statist. 37(3), 1988), evaluated in plain numpy.  Over 2e6
@@ -228,8 +228,8 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
 
     Entry (n, l) is word n*K + l of the Philox raw stream keyed by ``seed``:
     the same seed gives the same table bit for bit, and paths with different
-    seeds are independent.  A coarse path is the exact block sum of this
-    table (``coarsen_path``), so coarse and fine paths share their randomness.
+    seeds are independent.  Halving the table sums its row pairs exactly
+    (``coarsen_path``), so coarse and fine paths share their randomness.
     A table above ``MAX_TABLE_ENTRIES`` is refused before anything is drawn.
     """
     steps = _check_at_least(steps, 1, "path steps")
@@ -247,37 +247,20 @@ def sample_wiener_path(model: NoiseModel, steps: int, dt: float, seed: int) -> W
     return WienerPath(dt, inc)
 
 
-def _merge_rows(inc: np.ndarray, factor: int) -> np.ndarray:
-    # consecutive groups of ``factor`` (a power of two) rows summed by pairwise halving
-    while factor > 1:
-        inc = inc[0::2] + inc[1::2]
-        factor //= 2
-    return inc
+def coarsen_path(path: WienerPath) -> WienerPath:
+    """Halve the path: coarse row n = fine rows 2n + 2n+1, at dt doubled.
 
-
-def coarsen_path(path: WienerPath, factor: int) -> WienerPath:
-    """Merge consecutive increments: coarse row n = sum of fine rows n*factor..(n+1)*factor-1.
-
-    ``factor`` is a power of two, reduced by repeated pairwise halving so that
-    coarsen(coarsen(p, 2), 2) and coarsen(p, 4) agree bit for bit.  The coarse
-    table is filled about ``_BLOCK`` fine entries at a time, so building it
-    costs its own size plus one block.  dt is multiplied by the factor.
+    A path with an odd step count is refused.  One add builds the coarse
+    table, read-only, so halving costs the coarse table alone.  A 2^k
+    coarsening is k halvings, whose rows are sums of 2^k fine rows by
+    pairwise halving.
     """
-    factor = _check_at_least(factor, 1, "coarsening factor")
-    if factor & (factor - 1):
-        raise DomainError(f"coarsening factor must be a power of two, got {factor}")
-    if factor == 1:
-        return path
-    if path.steps % factor != 0:
-        raise DomainError(f"factor {factor} does not divide steps {path.steps}")
-    fine = path.increments
-    coarse = np.empty((path.steps // factor, fine.shape[1]))
-    rows = max(1, _BLOCK // max(factor * fine.shape[1], 1))  # coarse rows per block
-    for start in range(0, coarse.shape[0], rows):
-        stop = start + rows
-        coarse[start:stop] = _merge_rows(fine[start * factor : stop * factor], factor)
+    if path.steps % 2:
+        raise DomainError(f"cannot halve a path of {path.steps} steps, an odd count")
+    inc = path.increments
+    coarse = inc[0::2] + inc[1::2]
     coarse.setflags(write=False)
-    return WienerPath(path.dt * factor, coarse)
+    return WienerPath(2 * path.dt, coarse)
 
 
 # steps per noise block: the fields of steps s..s+15 (s a multiple of 16) are

@@ -30,7 +30,8 @@ phase as cos + i sin, and must give the same bytes wherever the build's
 float64 cos/sin round as its complex exp does.  ``h_alpha_norm`` is the
 squared H^alpha norm that the existence checks follow in time, and
 ``fourier_pad`` carries a state onto a finer grid of the same domain, so
-that runs at two N can be compared node by node.
+that runs at two N can be compared node by node.  ``halved`` coarsens a
+noise path by k halvings, as the coupled-level oracles need.
 
 ``ground_state`` is the positive solution Q of (-Delta)^alpha Q + Q =
 |Q|^(2 sigma) Q on the grid.  With lam = -1 and no noise, u(t) = e^{it} Q
@@ -43,6 +44,7 @@ import math
 import numpy as np
 
 from sfnse.dynamics import _step_symbols
+from sfnse.noise import coarsen_path
 from sfnse.spectral import _fft, _frac_multiplier, _ifft, _wavenumbers
 
 _TANGENT_PAIRS = 8  # unit tangent pairs (xi, eta) the matrix-free check probes
@@ -169,6 +171,14 @@ def fourier_pad(v, M):
     if M > N:
         padded[half] = padded[M - half] = coefficients[half] / 2.0
     return np.fft.ifft(padded) * M
+
+
+def halved(path, k):
+    """``path`` after k halvings by ``coarsen_path``: the level 2^k times coarser."""
+    for _ in range(k):
+        path = coarsen_path(path)
+    return path
+
 
 def ground_state(grid, alpha, sigma, tol=1e-14, max_iter=200):
     """Q > 0 with (-Delta)^alpha Q + Q = |Q|^(2 sigma) Q on the grid, by Petviashvili's iteration.

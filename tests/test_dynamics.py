@@ -470,11 +470,10 @@ class TestEvolve:
     def test_one_field_built_and_observers_see_arrays(self, monkeypatch):
         grid, model, scheme, noise, path = self._setup(steps=10)
         initial = ComplexField(random_state(grid, 24), time=0.5)
-        v, t = initial.values, initial.time
+        v, t = initial.values, initial.time + path.steps * scheme.dt
         expected = [v]
         for n in range(path.steps):
             v = splitting_step(v, increment_field(path, n, noise), model, scheme, grid)
-            t = t + scheme.dt
             expected.append(v)
         built = []
         field_init = ComplexField.__init__

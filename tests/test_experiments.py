@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from sfnse.experiments import (
     run_mass_table,
     sech_carrier_initial,
 )
-from sfnse.noise import build_noise_model, coarsen_path, sample_wiener_path
+from sfnse.noise import build_noise_model, sample_wiener_path
 from sfnse.output import read_snapshot
 from sfnse.spectral import build_grid
+
+from operator_oracle import halved
 
 
 TINY_CONVERGENCE = """
@@ -45,8 +48,6 @@ noise.seed = 4242
 
 def tiny_convergence_config(**overrides):
     config = parse_config(TINY_CONVERGENCE)
-    from dataclasses import replace
-
     return replace(config, **overrides) if overrides else config
 
 
@@ -73,7 +74,7 @@ def stored_trajectory_errors(config):
         ref_states = trajectory(fine, 2 ** (ref - (levels - 1)))
         errors = []
         for r in range(levels):
-            states = trajectory(coarsen_path(fine, 2 ** (ref - r)), 1)
+            states = trajectory(halved(fine, ref - r), 1)
             spacing = 2 ** ((levels - 1) - r)
             errors.append(max(l2_error(state, ref_states[n * spacing], grid) for n, state in enumerate(states)))
         per_path.append(errors)
@@ -109,6 +110,13 @@ noise.K = 10
             assert max(values) - min(values) < 1e-10
         again = run_mass_table(config)
         assert rows == again
+
+    def test_sample_times_are_whole_multiples_of_dt(self):
+        # the shipped Table 1 config at N = 64 and K = 10: a running sum of
+        # dt = 0.01 stamped its first sample 2.0000000000000013
+        text = (Path(__file__).resolve().parents[1] / "configs" / "table1_mass.cfg").read_text()
+        config = replace(parse_config(text), grid_n=64, noise_k=10, mass_alphas=(0.75,))
+        assert [time for time, _, _ in run_mass_table(config)] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
     def test_epsilon_zero_control(self):
         config = parse_config(
@@ -197,6 +205,22 @@ class TestConvergence:
         assert main(["converge", "--quiet", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "numerical failure at step 600: injected" in capsys.readouterr().err
 
+    def test_orders_reach_one_only_once_dt_resolves_the_noise(self):
+        # K = 10 unit modes have wavenumbers up to 10 pi, which N = 400 on
+        # [0, 40) resolves: dt * L(10 pi) is 7.0, 3.5, 1.8 and 0.9 over the
+        # levels, and order 1 starts near 3.  At N = 64 every mode l >= 2
+        # aliases below the Nyquist wavenumber 5.0.  Over seeds 1-8 the
+        # coarsest order read 0.37-0.57 at N = 400 and 0.73-1.16 at N = 64,
+        # and the two finest read 0.92-1.15 at N = 400
+        config = tiny_convergence_config(
+            grid_n=400, noise_profile="unit", horizon_t=0.32, converge_base_dt=0.04,
+            converge_levels=5, converge_ref_level=7, converge_n_paths=8, noise_seed=1,
+        )
+        resolved = [row[3] for row in run_convergence_study(config)[:-1]]
+        aliased = [row[3] for row in run_convergence_study(replace(config, grid_n=64))[:-1]]
+        assert resolved[0] < 0.65 < aliased[0], (resolved, aliased)
+        assert all(0.85 <= order <= 1.25 for order in resolved[2:]), resolved
+
     def test_report_reproducible(self):
         a = run_convergence_study(tiny_convergence_config())
         b = run_convergence_study(tiny_convergence_config())
@@ -278,9 +302,7 @@ class TestFieldEvolution:
         calls = []
         grid, final, rows = run_evolution(config, lambda step, field, g: calls.append((step, field, g)))
         assert [step for step, _, _ in calls] == [0, 5, 10]
-        times = [0.0]  # the time evolve reaches by adding dt once per step
-        for _ in range(10):
-            times.append(times[-1] + config.dt)
+        times = [n * config.dt for n in range(11)]  # step n is stamped n * dt
         for step, field, g in calls:
             assert (field.time, g) == (times[step], grid)
         # diagnostics rows every 10 steps, stamped with the same times

@@ -72,15 +72,13 @@ def test_tables_past_the_cap_are_refused_before_they_are_built():
         assert peak < 1 * MB
 
 
-def test_coarsening_peaks_at_the_coarse_table_plus_one_block():
-    # a 13 MB table: halving the whole table at once held 9.5 MB of
-    # intermediate tables whatever the factor; block by block the peak is
-    # the coarse table plus one block's cascade
+def test_halving_peaks_at_the_coarse_table():
+    # a 12.5 MB table: one add of its row pairs allocates the 6.25 MB coarse
+    # table and nothing else
     model = build_noise_model(100, build_grid(0.0, 40.0, 64))
     path = sample_wiener_path(model, 2**14, 0.01, seed=4)
-    for factor in (4, 32):
-        peak, coarse = traced_peak(lambda: coarsen_path(path, factor))
-        assert peak < coarse.increments.nbytes + 3 * MB
+    peak, coarse = traced_peak(lambda: coarsen_path(path))
+    assert peak < coarse.increments.nbytes + MB // 2
 
 
 def test_field_blocks_peak_at_one_block():

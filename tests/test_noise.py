@@ -22,6 +22,8 @@ from sfnse.noise import (
 )
 from sfnse.spectral import ComplexField, build_grid
 
+from operator_oracle import halved
+
 
 def philox_words(seed, count):
     # the first ``count`` raw words of the Philox stream keyed by ``seed``
@@ -197,56 +199,52 @@ class TestInverseNormal:
 
 
 class TestCoarsening:
-    def test_factor_one_is_identity(self, grid):
-        model = build_noise_model(2, grid)
-        path = sample_wiener_path(model, 8, 0.1, seed=5)
-        assert coarsen_path(path, 1) is path
-
     def test_factor_two_sums_pairs_exactly(self, grid):
         model = build_noise_model(4, grid)
         path = sample_wiener_path(model, 16, 0.1, seed=6)
-        coarse = coarsen_path(path, 2)
+        coarse = coarsen_path(path)
         expect = path.increments[0::2] + path.increments[1::2]
         assert np.array_equal(coarse.increments, expect)
         assert coarse.dt == pytest.approx(0.2)
         assert coarse.steps == 8
 
     def test_iterated_halving_matches_single_coarsen(self, grid):
+        # k halvings add the 2^k fine rows of a coarse row in a balanced
+        # pairwise tree, which is what a single 2^k coarsening summed; here
+        # the tree is written out over strided slices of the fine table
         model = build_noise_model(3, grid)
         path = sample_wiener_path(model, 32, 0.05, seed=7)
-        twice = coarsen_path(coarsen_path(path, 2), 2)
-        once = coarsen_path(path, 4)
-        assert np.array_equal(twice.increments, once.increments)
-        thrice = coarsen_path(coarsen_path(coarsen_path(path, 2), 2), 2)
-        assert np.array_equal(thrice.increments, coarsen_path(path, 8).increments)
 
-    def test_factor_not_a_power_of_two_refused(self, grid):
-        model = build_noise_model(2, grid)
-        path = sample_wiener_path(model, 60, 0.1, seed=8)  # 60 steps: each factor divides them
-        for factor in (3, 5, 6, 12):
-            with pytest.raises(DomainError, match="power of two"):
-                coarsen_path(path, factor)
+        def tree(first, k, stride):
+            # rows first, first + stride, ... each summed with its 2^k - 1 successors
+            if k == 0:
+                return path.increments[first::stride]
+            return tree(first, k - 1, stride) + tree(first + 2 ** (k - 1), k - 1, stride)
+
+        for k in (2, 3):
+            assert np.array_equal(halved(path, k).increments, tree(0, k, 2**k))
 
     @pytest.mark.parametrize("factor", [2, 4, 8, 32])
     def test_blockwise_table_equals_whole_table_cascade(self, grid, factor):
-        # the whole-table algorithm, kept as the reference: pairwise halving
-        # of the full table.  9600 x 7 entries span three sampling blocks, so
-        # block edges are hit
+        # log2(factor) halvings against pairwise halving of the full table.
+        # 9600 x 7 entries span three sampling blocks, so block edges are hit
         model = build_noise_model(7, grid)
         path = sample_wiener_path(model, 9600, 0.01, seed=21)
         inc, remaining = path.increments, factor
         while remaining > 1:
             inc = inc[0::2] + inc[1::2]
             remaining //= 2
-        coarse = coarsen_path(path, factor).increments
-        assert coarse.flags.c_contiguous and not coarse.flags.writeable
-        assert coarse.shape == inc.shape and coarse.tobytes() == np.ascontiguousarray(inc).tobytes()
+        coarse = halved(path, factor.bit_length() - 1)
+        assert coarse.dt == path.dt * factor
+        table = coarse.increments
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert table.shape == inc.shape and table.tobytes() == np.ascontiguousarray(inc).tobytes()
 
-    def test_divisibility(self, grid):
+    def test_odd_step_count_refused(self, grid):
         model = build_noise_model(1, grid)
-        path = sample_wiener_path(model, 10, 0.1, seed=9)
-        with pytest.raises(DomainError, match="factor 4 does not divide steps 10"):
-            coarsen_path(path, 4)
+        path = sample_wiener_path(model, 9, 0.1, seed=9)
+        with pytest.raises(DomainError, match="halve a path of 9 steps"):
+            coarsen_path(path)
 
 
 class TestIncrementField:
@@ -275,7 +273,7 @@ class TestIncrementField:
     def test_linear_in_increments_under_coarsening(self, grid):
         model = build_noise_model(5, grid, epsilon=0.1)
         path = sample_wiener_path(model, 8, 0.1, seed=13)
-        coarse = coarsen_path(path, 2)
+        coarse = coarsen_path(path)
         summed = increment_field(path, 2, model) + increment_field(path, 3, model)
         merged = increment_field(coarse, 1, model)
         assert np.max(np.abs(summed - merged)) < 1e-15 * max(1.0, np.max(np.abs(merged)))
@@ -427,19 +425,16 @@ class TestFieldBlocks:
 def test_fractional_integers_refused_not_truncated(grid):
     # truncating would alias seed 1.5 with seed 1, N = 64.7 with 64, and so on
     noise = build_noise_model(4, grid)
-    path = sample_wiener_path(noise, 4, 0.01, seed=1)
     for call in (
         lambda: sample_wiener_path(noise, 4, 0.01, seed=1.5),
         lambda: sample_wiener_path(noise, 4.7, 0.01, seed=1),
         lambda: build_grid(-20, 20, 64.7),
         lambda: build_noise_model(2.5, grid),
-        lambda: coarsen_path(path, 2.5),
         # a bool is an int to Python, but RunConfig refuses it for these settings
         lambda: sample_wiener_path(noise, 4, 0.01, seed=True),
         lambda: sample_wiener_path(noise, True, 0.01, seed=1),
         lambda: build_grid(-20, 20, True),
         lambda: build_noise_model(True, grid),
-        lambda: coarsen_path(path, True),
     ):
         with pytest.raises(DomainError, match="must be an integer"):
             call()

@@ -34,10 +34,10 @@ import pytest
 from sfnse.diagnostics import l2_error
 from sfnse.dynamics import ModelParams, SchemeParams, evolve, midpoint_step, splitting_step
 from sfnse.experiments import sech_carrier_initial
-from sfnse.noise import NoiseModel, build_noise_model, coarsen_path, sample_wiener_path
+from sfnse.noise import NoiseModel, build_noise_model, sample_wiener_path
 from sfnse.spectral import ComplexField, _frac_multiplier, build_grid
 
-from operator_oracle import apply_frac_laplacian, fourier_pad, ground_state, reference_splitting_step
+from operator_oracle import apply_frac_laplacian, fourier_pad, ground_state, halved, reference_splitting_step
 
 KERNELS = (midpoint_step, splitting_step)
 
@@ -169,7 +169,7 @@ class TestConstNoiseOracle:
         fine = sample_wiener_path(noise, round(T / 0.01) * 2**levels, 0.01 / 2**levels, seed=0)
         errors = []
         for r in range(levels + 1):
-            path = coarsen_path(fine, 2 ** (levels - r))
+            path = halved(fine, levels - r)
             u0, final = _const_run("midpoint", 0.0, 0.05, path, grid, noise_k=1)
             errors.append(l2_error(final, _closed_form(u0, grid, T, 0.05, path), grid))
         orders = [math.log2(errors[r] / errors[r + 1]) for r in range(levels)]
